@@ -14,34 +14,6 @@ from .gradcheck import grad_check
 from .trees import tree_flatten, tree_unflatten
 
 
-def _ssm_arrays(p):
-    return [p.a_log, p.skip, p.dt_w, p.dt_b, p.b_w, p.c_w]
-
-
-def _ssm_from(arrs, state_dim, channels):
-    return ssm.SsmParams(a_log=arrs[0], skip=arrs[1], dt_w=arrs[2], dt_b=arrs[3],
-                         b_w=arrs[4], c_w=arrs[5], state_dim=state_dim, channels=channels)
-
-
-def _scan_check(name, scan_fn, L=16, C=3, N=4, tol=1e-4, seed=3):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((L, C)) * 0.5
-    p = ssm.init_ssm_params(C, N, rng)
-
-    def fn(xx, *arrs):
-        pp = _ssm_from(list(arrs), N, C)
-        y, vjp = scan_fn(xx, pp)
-
-        def vjp_list(dy):
-            dx, dp = vjp(dy)
-            return (dx, *_ssm_arrays(dp))
-
-        return y, vjp_list
-
-    return lambda tol_=tol: grad_check(fn, [x, *_ssm_arrays(p)], tol=tol_, name=name,
-                                       input_names=["x", "a_log", "skip", "dt_w", "dt_b", "b_w", "c_w"])
-
-
 def _tree_fn(fn_of_tree, template):
     """Adapt fn(tree) -> (y, vjp->(dx, gradtree)) to positional arrays."""
     names = list(tree_flatten(template).keys())
@@ -70,6 +42,10 @@ def suite():
             fn, inputs, tol=tol, name=name, input_names=input_names,
             max_entries_per_input=max_entries)))
 
+    def add_tree(name, fn_of_tree, x, template):
+        fn, names = _tree_fn(fn_of_tree, template)
+        add(name, fn, [x, *tree_flatten(template).values()], input_names=["x"] + names)
+
     x = rng.standard_normal((4, 6))
     add("silu", ops.silu, [x])
     add("relu", ops.relu, [x + 0.05 * np.sign(x)])  # keep away from the kink
@@ -93,42 +69,21 @@ def suite():
     add("adaptive_avg_pool2d", lambda a: ops.adaptive_avg_pool2d(a, 3, 3),
         [rng.standard_normal((2, 5, 7))])
 
-    entries.append(("selective_scan_seq", _scan_check("selective_scan_seq", ssm.selective_scan_seq)))
-    entries.append(("selective_scan_par", _scan_check("selective_scan_par", ssm.selective_scan_par)))
+    # both scan evaluations on the same 16-step, C=3, N=4 input
+    for scan_name in ("selective_scan_seq", "selective_scan_par"):
+        rng1 = np.random.default_rng(3)
+        seq = rng1.standard_normal((16, 3)) * 0.5
+        add_tree(scan_name, getattr(ssm, scan_name), seq, ssm.init_ssm_params(3, 4, rng1))
 
     # ss2d on a 3x3 grid, two channels, independent directions
     rng2 = np.random.default_rng(11)
     grid = rng2.standard_normal((3, 3, 2)) * 0.5
-    params = [ssm.init_ssm_params(2, 2, rng2) for _ in range(4)]
-    names = []
-    arrays = []
-    for d, p in zip(scan2d.DIRECTIONS, params):
-        for fname, arr in zip(["a_log", "skip", "dt_w", "dt_b", "b_w", "c_w"], _ssm_arrays(p)):
-            names.append(f"{d}.{fname}")
-            arrays.append(arr)
-
-    def ss2d_fn(xx, *arrs):
-        ps = [_ssm_from(list(arrs[i * 6:(i + 1) * 6]), 2, 2) for i in range(4)]
-        y, vjp = scan2d.ss2d(xx, ps)
-
-        def vjp_list(dy):
-            dx, dps = vjp(dy)
-            out = [dx]
-            for dp in dps:
-                out.extend(_ssm_arrays(dp))
-            return tuple(out)
-
-        return y, vjp_list
-
-    add("ss2d", ss2d_fn, [grid, *arrays], input_names=["x"] + names)
+    add_tree("ss2d", scan2d.ss2d, grid, [ssm.init_ssm_params(2, 2, rng2) for _ in range(4)])
 
     # full residual block on a 3x3 grid, C=4
     rng3 = np.random.default_rng(13)
     bx = rng3.standard_normal((3, 3, 4)) * 0.5
-    block = segnet.init_block(4, 2, rng3)
-    block_fn, _bn = _tree_fn(lambda a, t: segnet.vss_block(a, t), block)
-    add("vss_block", block_fn, [bx, *tree_flatten(block).values()],
-        input_names=["x"] + list(tree_flatten(block).keys()))
+    add_tree("vss_block", segnet.vss_block, bx, segnet.init_block(4, 2, rng3))
 
     # patch embed and downsample
     rng4 = np.random.default_rng(17)

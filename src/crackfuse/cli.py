@@ -19,6 +19,7 @@ import numpy as np
 
 from . import checks, data, metrics, segnet, sr, ssm, train
 from .tensor import save_tensor
+from .trees import tree_flatten
 
 
 class UsageError(Exception):
@@ -148,7 +149,7 @@ def cmd_sr_train(args):
     held_imgs = [s.ir for s in samples if s.id not in train_ids]
     cfg = sr.SrTrainConfig(iters=args.iters, lr=args.lr, seed=args.seed)
     model = sr.sr_train_selfsupervised(train_imgs, factor, cfg)
-    train.save_checkpoint(args.out, sr.sr_to_named(model), sr.sr_manifest(model))
+    train.save_checkpoint(args.out, tree_flatten(model), sr.sr_manifest(model))
     report = {
         "train": sr.evaluate_sr(model, train_imgs, factor),
         "heldout": sr.evaluate_sr(model, held_imgs, factor) if held_imgs else [],
@@ -194,10 +195,16 @@ def cmd_fuse(args):
     return 0
 
 
-def _make_sources(doc, manifest, samples):
+def _make_sources(doc, manifest, samples, sr_model=None):
+    """The one path from a validated run doc to batches.
+
+    Returns (model config, train config, source), where source("train") is
+    the augmented training split and source("val") the center-cropped
+    evaluation split. A split is built on request only, so evaluating a
+    dataset without training ids works.
+    """
     variant = doc["variant"]
-    sr_model = None
-    if variant == "PRGB_plus_PIRprime":
+    if variant == "PRGB_plus_PIRprime" and sr_model is None:
         if not doc.get("sr_checkpoint"):
             raise UsageError("variant PRGB_plus_PIRprime requires sr_checkpoint in the config")
         sr_model = _load_sr(doc["sr_checkpoint"])
@@ -206,18 +213,21 @@ def _make_sources(doc, manifest, samples):
     some_input = table[manifest.ids[0]][0]
     cfg = _build_model_cfg(doc, in_channels=some_input.shape[0])
     patch = _fit_patch(doc.get("patch", 48), some_input.shape[-2:], cfg.grid_divisor)
-    train_src = data.BatchSource(table, manifest.train_ids(), tcfg.batch_size, patch,
-                                 tcfg.seed, augment_data=True)
-    val_src = data.BatchSource(table, manifest.val_ids(), tcfg.batch_size, patch,
-                               tcfg.seed, augment_data=False)
-    return cfg, tcfg, train_src, val_src
+
+    def source(split):
+        ids = manifest.train_ids() if split == "train" else manifest.val_ids()
+        return data.BatchSource(table, ids, tcfg.batch_size, patch, tcfg.seed,
+                                augment_data=split == "train")
+
+    return cfg, tcfg, source
 
 
 def cmd_train(args):
     doc = load_run_config(args.config)
     manifest = data.read_manifest(doc["data_root"])
     samples = _load_split_samples(manifest)
-    cfg, tcfg, train_src, val_src = _make_sources(doc, manifest, samples)
+    cfg, tcfg, source = _make_sources(doc, manifest, samples)
+    train_src, val_src = source("train"), source("val")
     model = segnet.init_model(cfg, data.named_rng(tcfg.seed, "init"))
     result = train.train(model, train_src, tcfg, val_batches_fn=val_src.eval_batches,
                          log_path=doc.get("log_path"), resume_from=args.resume)
@@ -234,21 +244,21 @@ def cmd_eval(args):
     sr_model = _load_sr(args.sr_checkpoint) if args.sr_checkpoint else None
     if variant == "PRGB_plus_PIRprime" and sr_model is None:
         raise UsageError("variant PRGB_plus_PIRprime requires --sr-checkpoint")
-    table = data.materialize(samples, variant, sr_model=sr_model)
-    some_input = table[manifest.ids[0]][0]
+    model_doc, weights = {}, None
     if args.checkpoint:
         tensors, ck_manifest = train.load_checkpoint(args.checkpoint)
-        cfg = segnet.ModelConfig.from_dict(ck_manifest["model_config"])
-        model = segnet.init_model(cfg, data.named_rng(0, "init"))
+        train.check_format(ck_manifest, train.CHECKPOINT_FORMAT)
+        model_doc = ck_manifest["model_config"]
         weights = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
+    doc = validate_run_config({
+        "data_root": args.data, "variant": variant, "patch": args.patch, "model": model_doc,
+        "train": {"batch_size": args.batch_size, "seed": args.seed},
+    })
+    cfg, tcfg, source = _make_sources(doc, manifest, samples, sr_model=sr_model)
+    model = segnet.init_model(cfg, data.named_rng(tcfg.seed, "init"))
+    if weights is not None:
         model.weights = segnet.unflatten_weights(model, weights)
-    else:
-        cfg = _build_model_cfg({"model": {}}, in_channels=some_input.shape[0])
-        model = segnet.init_model(cfg, data.named_rng(args.seed, "init"))
-    patch = _fit_patch(args.patch, some_input.shape[-2:], cfg.grid_divisor)
-    src = data.BatchSource(table, manifest.val_ids(), args.batch_size, patch, 0,
-                           augment_data=False)
-    report = train.evaluate_model(model, src.eval_batches())
+    report = train.evaluate_model(model, source("val").eval_batches())
     print(json.dumps(report, sort_keys=True, indent=1))
     return 0
 
@@ -263,26 +273,17 @@ def cmd_ablate(args):
         sr.SrTrainConfig(iters=args.sr_iters, seed=args.seed))
     rows = []
     for variant in data.VARIANTS:
-        doc = {
+        doc = validate_run_config({
             "data_root": args.data, "variant": variant, "patch": args.patch,
             "model": {"embed_dims": [16, 32, 64, 128], "depths": [1, 1, 1, 1],
-                      "state_dim": 4, "num_classes": 2, "decoder_dim": 32,
-                      "in_channels": data.VARIANT_CHANNELS[variant], "patch_size": 3},
+                      "state_dim": 4, "num_classes": 2, "decoder_dim": 32, "patch_size": 3},
             "train": {"total_iters": args.iters, "batch_size": args.batch_size,
                       "base_lr": args.lr, "warmup_iters": min(50, args.iters - 1),
                       "seed": args.seed, "eval_interval": args.iters,
                       "checkpoint_dir": os.path.join(args.work_dir, f"ckpt_{variant}")},
-        }
-        table = data.materialize(samples, variant,
-                                 sr_model=sr_model if variant == "PRGB_plus_PIRprime" else None)
-        some_input = table[manifest.ids[0]][0]
-        cfg = _build_model_cfg(doc, in_channels=some_input.shape[0])
-        tcfg = train.TrainConfig(**doc["train"])
-        patch = _fit_patch(args.patch, some_input.shape[-2:], cfg.grid_divisor)
-        train_src = data.BatchSource(table, manifest.train_ids(), tcfg.batch_size, patch,
-                                     tcfg.seed, augment_data=True)
-        val_src = data.BatchSource(table, manifest.val_ids(), tcfg.batch_size, patch,
-                                   tcfg.seed, augment_data=False)
+        })
+        cfg, tcfg, source = _make_sources(doc, manifest, samples, sr_model=sr_model)
+        train_src, val_src = source("train"), source("val")
         model = segnet.init_model(cfg, data.named_rng(tcfg.seed, "init"))
         result = train.train(model, train_src, tcfg, val_batches_fn=val_src.eval_batches)
         rep = train.evaluate_model(model, val_src.eval_batches())

@@ -466,17 +466,3 @@ def center_crop(inp, target, patch):
     return (np.ascontiguousarray(inp[..., i:i + patch, j:j + patch]),
             np.ascontiguousarray(target[..., i:i + patch, j:j + patch]))
 
-
-def split_and_batch(table, manifest: DatasetManifest, batch_size, patch, seed, mode="train"):
-    """Stream batches for one split. Training shuffles per epoch and drops the
-    ragged tail; evaluation keeps it."""
-    if mode == "train":
-        src = BatchSource(table, manifest.train_ids(), batch_size, patch, seed, augment_data=True)
-        def gen():
-            it = 0
-            while True:
-                yield src.batch(it)
-                it += 1
-        return gen()
-    src = BatchSource(table, manifest.val_ids(), batch_size, patch, seed, augment_data=False)
-    return src.eval_batches()

@@ -86,10 +86,6 @@ class ConfusionMatrix:
         return rep
 
 
-def accumulate(cm: ConfusionMatrix, pred, gt) -> ConfusionMatrix:
-    return cm.add(pred, gt)
-
-
 def psnr(a, b, peak=1.0) -> float:
     """10*log10(peak^2 / MSE); returns inf when the inputs match exactly."""
     a = np.asarray(a, dtype=np.float64)

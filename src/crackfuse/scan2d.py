@@ -92,37 +92,20 @@ def ss2d(x, params, parallel=True):
 
     params is a sequence of four SsmParams ordered LR, TB, RL, BT; passing the
     same object four times ties the directions (used by symmetry tests).
-    vjp(dy) returns (dx, [dparams per direction]).
+    vjp(dy) returns (dx, [dparams per direction]); the adjoint of cross_merge
+    is cross_scan and vice versa.
     """
     if len(params) != len(DIRECTIONS):
         raise ValueError(f"need {len(DIRECTIONS)} parameter sets, got {len(params)}")
     x4, squeeze = _grid(x)
-    b, h, w, c = x4.shape
-    orders = _orders(h, w)
-    flat = x4.reshape(b, h * w, c)
+    h, w = x4.shape[1:3]
     scan = ssm.selective_scan_par if parallel else ssm.selective_scan_seq
-    outs, vjps = [], []
-    for o, p in zip(orders, params):
-        y_d, vjp_d = scan(flat[:, o.perm], p)
-        outs.append(y_d)
-        vjps.append(vjp_d)
-    merged = np.zeros((b, h * w, c))
-    for y_d, o in zip(outs, orders):
-        merged += y_d[:, o.inv]
-    y = merged.reshape(b, h, w, c)
+    outs, vjps = zip(*(scan(s, p) for s, p in zip(cross_scan(x4), params)))
+    y = cross_merge(*outs, h, w)
 
     def vjp(dy):
-        dy4 = np.asarray(dy, dtype=np.float64)
-        dy4 = dy4[None] if squeeze else dy4
-        dflat_out = dy4.reshape(b, h * w, c)
-        dx_flat = np.zeros_like(flat)
-        dparams = []
-        for o, vjp_d in zip(orders, vjps):
-            dseq = dflat_out[:, o.perm]
-            dxd, dpd = vjp_d(dseq)
-            dx_flat[:, o.perm] += dxd
-            dparams.append(dpd)
-        dx = dx_flat.reshape(b, h, w, c)
-        return (dx[0] if squeeze else dx), dparams
+        grads = [vjp_d(ds) for vjp_d, ds in zip(vjps, cross_scan(_grid(dy)[0]))]
+        dx = cross_merge(*(dxd for dxd, _ in grads), h, w)
+        return (dx[0] if squeeze else dx), [dpd for _, dpd in grads]
 
     return (y[0] if squeeze else y), vjp

@@ -16,7 +16,10 @@ import numpy as np
 
 from . import metrics
 from .ops import clamp01, conv2d, relu, resize_bicubic
-from .train import adamw_step, init_optimizer
+from .train import adamw_step, check_format, init_optimizer
+from .trees import tree_flatten, tree_unflatten
+
+SR_FORMAT = "crackfuse-sr-v1"
 
 
 @dataclass
@@ -126,18 +129,6 @@ def sr_apply(m: SrModel, ir, out_dims):
     return sr_forward(m, ir, out_h, out_w)[0]
 
 
-def _weights_dict(m: SrModel) -> dict:
-    return {"conv1_w": m.conv1_w, "conv1_b": m.conv1_b,
-            "conv2_w": m.conv2_w, "conv2_b": m.conv2_b,
-            "conv3_w": m.conv3_w, "conv3_b": m.conv3_b}
-
-
-def _set_weights(m: SrModel, d: dict):
-    m.conv1_w, m.conv1_b = d["conv1_w"], d["conv1_b"]
-    m.conv2_w, m.conv2_b = d["conv2_w"], d["conv2_b"]
-    m.conv3_w, m.conv3_b = d["conv3_w"], d["conv3_b"]
-
-
 def corpus_loss(model: SrModel, images, factor) -> float:
     """Mean reconstruction MSE over a corpus at the training scale."""
     total = 0.0
@@ -166,7 +157,7 @@ def sr_train_selfsupervised(images, factor, cfg: SrTrainConfig | None = None) ->
         raise ValueError(f"factor must be >= 1, got {f}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5372]))
     model = init_sr_model(f, rng, hidden=cfg.hidden)
-    params = _weights_dict(model)
+    params = tree_flatten(model)
     opt = init_optimizer(params)
 
     def training_pair(step):
@@ -190,7 +181,6 @@ def sr_train_selfsupervised(images, factor, cfg: SrTrainConfig | None = None) ->
     ceiling = 10.0 * max(initial, 1e-4)
     for step in range(cfg.iters):
         low, target = training_pair(step)
-        _set_weights(model, params)
         pred, vjp = sr_forward(model, low, target.shape[-2], target.shape[-1])
         diff = pred - target
         loss = float(np.mean(diff * diff))
@@ -199,7 +189,7 @@ def sr_train_selfsupervised(images, factor, cfg: SrTrainConfig | None = None) ->
                 f"loss {loss:.3e} exceeded 10x initial {initial:.3e} at step {step}; try a lower lr")
         grads = vjp(2.0 * diff / diff.size)
         params, opt = adamw_step(params, grads, opt, cfg.lr, weight_decay=cfg.weight_decay)
-    _set_weights(model, params)
+        model = tree_unflatten(model, params)
     model.initial_loss = initial
     model.final_loss = corpus_loss(model, images, f)
     return model
@@ -234,23 +224,12 @@ def fuse_channels(rgb, ir_sr):
     return np.concatenate([rgb, ir_sr], axis=0)
 
 
-def split_fused(fused):
-    """Inverse of fuse_channels."""
-    if fused.shape[0] != 6:
-        raise ValueError(f"expected 6 channels, got {fused.shape}")
-    return fused[:3], fused[3:]
-
-
-# checkpoint plumbing ------------------------------------------------------
-
-
-def sr_to_named(model: SrModel) -> dict:
-    return _weights_dict(model)
+# checkpoint plumbing: the weights are tree_flatten(model) --------------------
 
 
 def sr_manifest(model: SrModel) -> dict:
     return {
-        "format": "crackfuse-sr-v1",
+        "format": SR_FORMAT,
         "scale": [model.scale_num, model.scale_den],
         "initial_loss": model.initial_loss,
         "final_loss": model.final_loss,
@@ -258,11 +237,10 @@ def sr_manifest(model: SrModel) -> dict:
 
 
 def sr_from_checkpoint(tensors: dict, manifest: dict) -> SrModel:
+    check_format(manifest, SR_FORMAT)
     num, den = manifest["scale"]
     return SrModel(
-        conv1_w=tensors["conv1_w"], conv1_b=tensors["conv1_b"],
-        conv2_w=tensors["conv2_w"], conv2_b=tensors["conv2_b"],
-        conv3_w=tensors["conv3_w"], conv3_b=tensors["conv3_b"],
+        **tensors,  # the tree_flatten(model) keys are the weight field names
         scale_num=num, scale_den=den,
         initial_loss=manifest.get("initial_loss", math.nan),
         final_loss=manifest.get("final_loss", math.nan),

@@ -44,8 +44,14 @@ class SsmParams:
     dt_b: np.ndarray    # [C]
     b_w: np.ndarray     # [C, N] input-gain projection
     c_w: np.ndarray     # [C, N] readout projection
-    state_dim: int
-    channels: int
+
+    @property
+    def channels(self) -> int:
+        return self.a_log.shape[0]
+
+    @property
+    def state_dim(self) -> int:
+        return self.a_log.shape[1]
 
     def materialized_a(self):
         return -np.exp(self.a_log)
@@ -64,8 +70,6 @@ def init_ssm_params(channels, state_dim, rng, dt_min=0.01, dt_max=0.1):
         dt_b=np.log(np.expm1(dt)),  # softplus inverse
         b_w=rng.uniform(-bound, bound, size=(channels, state_dim)),
         c_w=rng.uniform(-bound, bound, size=(channels, state_dim)),
-        state_dim=state_dim,
-        channels=channels,
     )
 
 
@@ -74,18 +78,7 @@ def zeros_like_params(p: SsmParams) -> SsmParams:
         a_log=np.zeros_like(p.a_log), skip=np.zeros_like(p.skip),
         dt_w=np.zeros_like(p.dt_w), dt_b=np.zeros_like(p.dt_b),
         b_w=np.zeros_like(p.b_w), c_w=np.zeros_like(p.c_w),
-        state_dim=p.state_dim, channels=p.channels,
     )
-
-
-def add_params(acc: SsmParams, g: SsmParams) -> SsmParams:
-    acc.a_log += g.a_log
-    acc.skip += g.skip
-    acc.dt_w += g.dt_w
-    acc.dt_b += g.dt_b
-    acc.b_w += g.b_w
-    acc.c_w += g.c_w
-    return acc
 
 
 def s6_project(x, p: SsmParams):
@@ -100,10 +93,13 @@ def s6_project(x, p: SsmParams):
 
 @dataclass
 class DiscretizedPair:
-    """Per-step decay factors and input gains of the held-input discretization."""
+    """Per-step decay factors and input gains of the held-input discretization,
+    with the branch factor and branch mask that the scan's backward pass needs."""
 
     decay: np.ndarray  # exp(dt * a), in (0, 1) for a < 0, dt > 0
-    gain: np.ndarray   # ((decay - 1) / a) * b_t, series branch near dt*a = 0
+    gain: np.ndarray   # g * b_t
+    g: np.ndarray      # (decay - 1) / a, series branch near dt*a = 0
+    small: np.ndarray  # True where the series branch is taken
 
 
 def _gain_factor(z, a, dt):
@@ -126,24 +122,13 @@ def discretize_zoh(a, b_t, dt):
         raise ValueError("discretize_zoh: step sizes must be strictly positive")
     z = dt[..., None] * a
     decay = np.exp(z)
-    g, _ = _gain_factor(z, a, dt[..., None])
+    g, small = _gain_factor(z, a, dt[..., None])
     gain = g * np.asarray(b_t)[..., None, :]
-    return DiscretizedPair(decay=decay, gain=gain)
+    return DiscretizedPair(decay=decay, gain=gain, g=g, small=small)
 
 
 # ---------------------------------------------------------------------------
 # Linear recurrence h_k = a_k * h_{k-1} + u_k with h_0 = 0, over axis 0.
-
-
-def combine(p, q):
-    """Associative composition of two recurrence segments.
-
-    p = (a1, b1) maps h -> a1*h + b1 over the earlier span, q the later one;
-    the composite is (a1*a2, a2*b1 + b2).
-    """
-    a1, b1 = p
-    a2, b2 = q
-    return a1 * a2, a2 * b1 + b2
 
 
 def linear_recurrence_seq(a, u):
@@ -158,7 +143,8 @@ def linear_recurrence_seq(a, u):
 
 def linear_recurrence_par(a, u):
     """Work-efficient scan: pad to a power of two with the identity (1, 0),
-    then an in-place up-sweep / down-sweep over the combine above."""
+    then an in-place up-sweep / down-sweep over the combine
+    (a2, b2) o (a1, b1) = (a1*a2, a2*b1 + b2)."""
     L = a.shape[0]
     if L == 0:
         return u.copy()
@@ -218,15 +204,10 @@ def _selective_scan(x, p: SsmParams, parallel: bool):
 
         return np.zeros_like(x), vjp_empty
 
-    pre = x3 @ p.dt_w + p.dt_b
-    dt = np.logaddexp(0.0, pre)
-    b_t = x3 @ p.b_w                       # [B,L,N]
-    c_t = x3 @ p.c_w                       # [B,L,N]
-    a = -np.exp(p.a_log)                   # [C,N]
-    z = dt[..., None] * a                  # [B,L,C,N]
-    decay = np.exp(z)
-    g, small = _gain_factor(z, a, dt[..., None])
-    gain = g * b_t[:, :, None, :]
+    dt, b_t, c_t = s6_project(x3, p)       # [B,L,C], [B,L,N], [B,L,N]
+    a = p.materialized_a()                 # [C,N]
+    pair = discretize_zoh(a, b_t, dt)      # [B,L,C,N] each
+    decay, gain, g, small = pair.decay, pair.gain, pair.g, pair.small
     u = gain * x3[..., None]
     # scan over L with batch folded into trailing axes
     hT = scan_fn(np.ascontiguousarray(decay.transpose(1, 0, 2, 3)),
@@ -254,13 +235,16 @@ def _selective_scan(x, p: SsmParams, parallel: bool):
         db_t = np.einsum("blcn,blcn->bln", dgain, g)
         # branch-aware partials of g = (exp(z)-1)/a wrt dt and a
         dt4 = dt[..., None]
+        z = dt4 * a
         g_dt = np.where(small, 1.0 + z + (z * z) / 2.0, decay)
         safe_a = np.where(small, 1.0, a)
         g_a = np.where(small, dt4 * dt4 * (0.5 + z / 3.0), (dt4 * decay - g) / safe_a)
         ddt = np.sum(ddecay * decay * a + dg * g_dt, axis=-1)
         da = np.sum(ddecay * decay * dt4 + dg * g_a, axis=(0, 1))
         da_log = da * a
-        dpre = ddt * _sigmoid(pre)
+        # softplus'(pre) = sigmoid(pre); -expm1(-dt) is the same value but differs
+        # in the last bit for many elements, so recompute pre to keep gradients exact
+        dpre = ddt * _sigmoid(x3 @ p.dt_w + p.dt_b)
         x2 = x3.reshape(-1, C)
         ddt_w = x2.T @ dpre.reshape(-1, C)
         ddt_b = dpre.reshape(-1, C).sum(axis=0)
@@ -268,7 +252,7 @@ def _selective_scan(x, p: SsmParams, parallel: bool):
         dc_w = x2.T @ dc_t.reshape(-1, p.state_dim)
         dx += dpre @ p.dt_w.T + db_t @ p.b_w.T + dc_t @ p.c_w.T
         dp = SsmParams(a_log=da_log, skip=dskip, dt_w=ddt_w, dt_b=ddt_b,
-                       b_w=db_w, c_w=dc_w, state_dim=p.state_dim, channels=p.channels)
+                       b_w=db_w, c_w=dc_w)
         return (dx[0] if squeeze else dx), dp
 
     return y, vjp
@@ -282,13 +266,6 @@ def selective_scan_seq(x, p: SsmParams):
 def selective_scan_par(x, p: SsmParams):
     """Parallel-scan evaluation; same result as the sequential form."""
     return _selective_scan(x, p, parallel=True)
-
-
-def selective_scan_vjp(x, p: SsmParams, upstream):
-    """One-call forward + backward; returns (y, dx, dparams)."""
-    y, vjp = _selective_scan(x, p, parallel=True)
-    dx, dp = vjp(upstream)
-    return y, dx, dp
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ The on-disk format is fixed so independent implementations interoperate:
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO
 
 import numpy as np
 
@@ -86,7 +85,3 @@ def save_tensor(path, x: np.ndarray) -> None:
 def load_tensor(path) -> np.ndarray:
     with open(path, "rb") as f:
         return tensor_from_bytes(f.read())
-
-
-def write_tensor(f: BinaryIO, x: np.ndarray) -> None:
-    f.write(tensor_to_bytes(x))

@@ -137,6 +137,7 @@ def poly_lr(iteration, cfg: TrainConfig) -> float:
 
 
 _ZIP_STAMP = (1980, 1, 1, 0, 0, 0)
+CHECKPOINT_FORMAT = "crackfuse-checkpoint-v1"
 
 
 def save_checkpoint(path, named_tensors: dict, manifest: dict) -> None:
@@ -150,6 +151,13 @@ def save_checkpoint(path, named_tensors: dict, manifest: dict) -> None:
             z.writestr(info, tensor_to_bytes(named_tensors[name]))
     with open(path, "wb") as f:
         f.write(buf.getvalue())
+
+
+def check_format(manifest: dict, expected: str) -> None:
+    """Refuse a checkpoint written for another kind of model."""
+    found = manifest.get("format")
+    if found != expected:
+        raise ValueError(f"expected a {expected} checkpoint, found format {found!r}")
 
 
 def load_checkpoint(path):
@@ -233,7 +241,7 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
 
     def manifest_at(it):
         return {
-            "format": "crackfuse-checkpoint-v1",
+            "format": CHECKPOINT_FORMAT,
             "iteration": it,
             "model_config": model.cfg.to_dict(),
             "train_config": cfg.to_dict(),

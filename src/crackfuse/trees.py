@@ -31,20 +31,6 @@ def tree_flatten(tree, prefix="") -> dict:
     return dict(tree_leaves(tree, prefix))
 
 
-def tree_map(fn, tree):
-    """Apply fn to every array leaf, rebuilding the same structure."""
-    if isinstance(tree, np.ndarray):
-        return fn(tree)
-    if dataclasses.is_dataclass(tree):
-        kwargs = {f.name: tree_map(fn, getattr(tree, f.name)) for f in dataclasses.fields(tree)}
-        return type(tree)(**kwargs)
-    if isinstance(tree, list):
-        return [tree_map(fn, t) for t in tree]
-    if isinstance(tree, tuple):
-        return tuple(tree_map(fn, t) for t in tree)
-    return tree
-
-
 def tree_unflatten(template, flat: dict, prefix=""):
     """Rebuild a tree shaped like template, pulling leaf arrays from flat."""
     if isinstance(template, np.ndarray):

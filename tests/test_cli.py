@@ -149,6 +149,30 @@ def test_eval_checkpoint_roundtrip(dataset, tmp_path, capsys):
     assert 0.0 <= rep["miou"] <= 1.0
 
 
+def test_eval_refuses_sr_checkpoint_as_model(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "sr.ckpt"
+    assert run_cli("sr-train", "--data", str(dataset), "--out", str(ckpt), "--iters", "2") == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--data", str(dataset), "--variant", "P_RGB",
+                   "--checkpoint", str(ckpt)) == 2
+    err = capsys.readouterr().err
+    assert "crackfuse-checkpoint-v1" in err and "crackfuse-sr-v1" in err
+
+
+def test_eval_refuses_model_checkpoint_as_sr(dataset, tmp_path, capsys):
+    assert run_cli("train", "--config", str(_run_config(dataset, tmp_path))) == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--data", str(dataset), "--variant", "PRGB_plus_PIRprime",
+                   "--sr-checkpoint", str(tmp_path / "ck" / "last.ckpt")) == 2
+    err = capsys.readouterr().err
+    assert "crackfuse-sr-v1" in err and "crackfuse-checkpoint-v1" in err
+
+
+def test_eval_fused_variant_requires_sr_checkpoint(dataset, capsys):
+    assert run_cli("eval", "--data", str(dataset), "--variant", "PRGB_plus_PIRprime") == 1
+    assert "--sr-checkpoint" in capsys.readouterr().err
+
+
 def test_ablate_emits_four_tagged_rows(dataset, tmp_path, capsys):
     out = tmp_path / "ablate.json"
     code = run_cli("ablate", "--data", str(dataset), "--seed", "0", "--iters", "2",

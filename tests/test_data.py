@@ -272,16 +272,3 @@ def test_mixed_channel_table_rejected():
     with pytest.raises(ValueError, match="channel"):
         data.BatchSource(table, [s.id for s in samples], 2, 24, 0)
 
-
-def test_split_and_batch_modes(tmp_path):
-    samples = small_dataset(n=10)
-    manifest = data.save_dataset(tmp_path, samples, seed=0)
-    table = data.materialize(samples, "P_RGB")
-    gen = data.split_and_batch(table, manifest, batch_size=2, patch=48, seed=0, mode="train")
-    xs, ts, ids = next(gen)
-    assert xs.shape == (2, 3, 48, 48) and ts.shape == (2, 48, 48)
-    seen = []
-    for xs, ts, ids in data.split_and_batch(table, manifest, batch_size=2, patch=48,
-                                            seed=0, mode="eval"):
-        seen.extend(ids)
-    assert seen == manifest.val_ids()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crackfuse.metrics import ConfusionMatrix, accumulate, psnr, psnr_for_log
+from crackfuse.metrics import ConfusionMatrix, psnr, psnr_for_log
 
 
 def brute_force_miou(pred, gt, num_classes):
@@ -117,12 +117,6 @@ def test_errors():
         cm.add(np.full((2, 2), 5), np.zeros((2, 2), dtype=int))
     with pytest.raises(ValueError, match="undefined"):
         ConfusionMatrix(2).miou()
-
-
-def test_accumulate_wrapper():
-    cm = ConfusionMatrix(2)
-    out = accumulate(cm, np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))
-    assert out is cm
 
 
 def test_psnr_values():

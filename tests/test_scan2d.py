@@ -132,7 +132,7 @@ def test_ss2d_gradcheck():
         rebuilt = []
         for i in range(4):
             chunk = arrs[i * 6:(i + 1) * 6]
-            rebuilt.append(ssm.SsmParams(**dict(zip(fields, chunk)), state_dim=n, channels=c))
+            rebuilt.append(ssm.SsmParams(**dict(zip(fields, chunk))))
         y, vjp = scan2d.ss2d(xx, rebuilt)
 
         def vjp_list(dy):

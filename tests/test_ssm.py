@@ -13,6 +13,7 @@ def make_params(channels, state_dim, seed=0):
 
 def test_param_invariants():
     p = make_params(5, 3)
+    assert (p.channels, p.state_dim) == (5, 3)  # read from a_log's shape
     a = p.materialized_a()
     assert np.all(a < 0)
     # negated decay rates span [1, N] per channel at init
@@ -87,16 +88,6 @@ def test_recurrence_hand_example():
     np.testing.assert_allclose(h_seq.ravel(), [1.0, 0.5, 0.25, 0.125])
     h_par = ssm.linear_recurrence_par(a, u)
     np.testing.assert_allclose(h_par, h_seq)
-
-
-def test_combine_associative():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        p, q, r = [(rng.uniform(0.1, 0.9, 3), rng.standard_normal(3)) for _ in range(3)]
-        left = ssm.combine(ssm.combine(p, q), r)
-        right = ssm.combine(p, ssm.combine(q, r))
-        np.testing.assert_allclose(left[0], right[0], rtol=1e-12)
-        np.testing.assert_allclose(left[1], right[1], rtol=1e-12, atol=1e-12)
 
 
 def test_scan_zero_input_zero_output():
@@ -179,7 +170,7 @@ def test_channel_permutation_equivariance():
     pp = ssm.SsmParams(
         a_log=p.a_log[perm], skip=p.skip[perm],
         dt_w=p.dt_w[np.ix_(perm, perm)], dt_b=p.dt_b[perm],
-        b_w=p.b_w[perm], c_w=p.c_w[perm], state_dim=n, channels=c,
+        b_w=p.b_w[perm], c_w=p.c_w[perm],
     )
     y, _ = ssm.selective_scan_par(x, p)
     y2, _ = ssm.selective_scan_par(x[:, perm], pp)
@@ -189,7 +180,7 @@ def test_channel_permutation_equivariance():
 def test_vjp_zero_upstream():
     p = make_params(2, 2, seed=19)
     x = np.random.default_rng(20).standard_normal((6, 2))
-    _, dx, dp = ssm.selective_scan_vjp(x, p, np.zeros((6, 2)))
+    dx, dp = ssm.selective_scan_par(x, p)[1](np.zeros((6, 2)))
     assert np.all(dx == 0)
     for arr in (dp.a_log, dp.skip, dp.dt_w, dp.dt_b, dp.b_w, dp.c_w):
         assert np.all(arr == 0)
@@ -200,7 +191,7 @@ def test_vjp_skip_gradient_closed_form():
     rng = np.random.default_rng(22)
     x = rng.standard_normal((10, 3))
     up = rng.standard_normal((10, 3))
-    _, _, dp = ssm.selective_scan_vjp(x, p, up)
+    _, dp = ssm.selective_scan_par(x, p)[1](up)
     np.testing.assert_allclose(dp.skip, (up * x).sum(axis=0), rtol=1e-12)
 
 
@@ -213,7 +204,7 @@ def _scan_gradcheck(scan_fn, tol):
 
     def fn(xx, a_log, skip, dt_w, dt_b, b_w, c_w):
         pp = ssm.SsmParams(a_log=a_log, skip=skip, dt_w=dt_w, dt_b=dt_b,
-                           b_w=b_w, c_w=c_w, state_dim=n, channels=c)
+                           b_w=b_w, c_w=c_w)
         y, vjp = scan_fn(xx, pp)
 
         def vjp_list(dy):
