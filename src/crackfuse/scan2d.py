@@ -1,10 +1,10 @@
 """Four-direction serialization of a patch grid and the 2d selective scan.
 
 A [H, W, C] token grid is flattened along four traversal orders (left to
-right, top to bottom, right to left, bottom to top), each sequence runs
-through its own selective scan, and the results are scattered back onto the
-grid and summed. Summation order is fixed (LR, TB, RL, BT) so the merge is
-deterministic.
+right, top to bottom, right to left, bottom to top), the four sequences run
+through their own selective-scan weights as one stacked batch, and the
+results are scattered back onto the grid and summed. Summation order is
+fixed (LR, TB, RL, BT) so the merge is deterministic.
 """
 from __future__ import annotations
 
@@ -46,8 +46,10 @@ def scan_order(direction: str, height: int, width: int) -> ScanOrder:
     return ScanOrder(direction=direction, height=height, width=width, perm=perm, inv=inv)
 
 
-def _orders(height, width):
-    return [scan_order(d, height, width) for d in DIRECTIONS]
+def _indices(height, width):
+    """[4, L] gather (perm) and scatter (inv) indices, one row per direction."""
+    orders = [scan_order(d, height, width) for d in DIRECTIONS]
+    return np.stack([o.perm for o in orders]), np.stack([o.inv for o in orders])
 
 
 def _grid(x):
@@ -60,14 +62,13 @@ def _grid(x):
 
 
 def cross_scan(x):
-    """Flatten a [H,W,C] (or [B,H,W,C]) grid into four [L,C] sequences."""
+    """Flatten a [H,W,C] (or [B,H,W,C]) grid into the four direction
+    sequences, stacked as [4, L, C] (or [4, B, L, C])."""
     x4, squeeze = _grid(x)
     b, h, w, c = x4.shape
-    flat = x4.reshape(b, h * w, c)
-    seqs = [flat[:, o.perm] for o in _orders(h, w)]
-    if squeeze:
-        seqs = [s[0] for s in seqs]
-    return seqs
+    perm, _ = _indices(h, w)
+    seqs = np.moveaxis(x4.reshape(b, h * w, c)[:, perm], 1, 0)
+    return seqs[:, 0] if squeeze else seqs
 
 
 def cross_merge(y_lr, y_tb, y_rl, y_bt, height, width):
@@ -80,15 +81,17 @@ def cross_merge(y_lr, y_tb, y_rl, y_bt, height, width):
         if s.shape[1] != n:
             raise ValueError(f"direction {d}: sequence length {s.shape[1]} != {height}x{width}")
     b, _, c = seqs[0].shape
-    out = np.zeros((b, n, c))
-    for s, o in zip(seqs, _orders(height, width)):
-        out += s[:, o.inv]
+    _, inv = _indices(height, width)
+    out = seqs[0][:, inv[0]]
+    for s, idx in zip(seqs[1:], inv[1:]):
+        out += s[:, idx]
     out = out.reshape(b, height, width, c)
     return out[0] if squeeze else out
 
 
-def ss2d(x, params, parallel=True):
-    """Cross-scan, per-direction selective scan, cross-merge. Returns (y, vjp).
+def ss2d(x, params, parallel=False):
+    """Cross-scan, selective scan of the four directions as one stacked
+    batch, cross-merge. Returns (y, vjp).
 
     params is a sequence of four SsmParams ordered LR, TB, RL, BT; passing the
     same object four times ties the directions (used by symmetry tests).
@@ -99,13 +102,12 @@ def ss2d(x, params, parallel=True):
         raise ValueError(f"need {len(DIRECTIONS)} parameter sets, got {len(params)}")
     x4, squeeze = _grid(x)
     h, w = x4.shape[1:3]
-    scan = ssm.selective_scan_par if parallel else ssm.selective_scan_seq
-    outs, vjps = zip(*(scan(s, p) for s, p in zip(cross_scan(x4), params)))
-    y = cross_merge(*outs, h, w)
+    ys, vjp_scan = ssm._selective_scan(cross_scan(x4), params, parallel)
+    y = cross_merge(*ys, h, w)
 
     def vjp(dy):
-        grads = [vjp_d(ds) for vjp_d, ds in zip(vjps, cross_scan(_grid(dy)[0]))]
-        dx = cross_merge(*(dxd for dxd, _ in grads), h, w)
-        return (dx[0] if squeeze else dx), [dpd for _, dpd in grads]
+        dxs, dps = vjp_scan(cross_scan(_grid(dy)[0]))
+        dx = cross_merge(*dxs, h, w)
+        return (dx[0] if squeeze else dx), dps
 
     return (y[0] if squeeze else y), vjp

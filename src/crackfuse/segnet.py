@@ -233,7 +233,7 @@ def patch_embed(image, w: PatchEmbedWeights, cfg: ModelConfig):
     return (tokens[0] if image.ndim == 3 else tokens), vjp
 
 
-def vss_block(x, w: BlockWeights, parallel=True):
+def vss_block(x, w: BlockWeights, parallel=False):
     """Residual gated block: normalized input feeds a gate branch (linear +
     silu) and a main branch (linear, depthwise conv, silu, four-direction
     scan, norm); branches multiply, project, and add back to the input."""
@@ -303,7 +303,7 @@ def downsample(x, w: DownsampleWeights):
     return (y[0] if squeeze else y), vjp
 
 
-def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig, parallel=True):
+def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False):
     """Embed then run each stage's blocks, downsampling between stages.
 
     Returns the per-stage feature grids (channels-last) and a vjp mapping
@@ -473,7 +473,7 @@ def uper_decode(features, w: DecoderWeights, out_h, out_w, num_classes=None):
     return (logits[0] if squeeze else logits), vjp
 
 
-def model_forward(image, model: SegModel, parallel=True):
+def model_forward(image, model: SegModel, parallel=False):
     """Full network: [C_in, H, W] (or batched) -> [num_classes, H, W] logits."""
     img = np.asarray(image, dtype=np.float64)
     cin = img.shape[-3]

@@ -16,8 +16,10 @@ Near dt*a = 0 the gain switches to the second-order series
 dt*(1 + z/2 + z^2/6), which agrees with the exact branch to ~1e-13 relative
 at the 1e-4 threshold and removes the 0/0.
 
-The recurrence runs either step by step or as a work-efficient
-(Blelloch-style) parallel scan over the associative combine
+One call scans K layers with their own weights (the four directions of
+ss2d) as a stacked batch, and the single-layer scans are its K = 1 case.
+The recurrence runs either step by step, which the model uses, or as a
+work-efficient (Blelloch-style) parallel scan over the associative combine
 (a2, b2) o (a1, b1) = (a1*a2, a2*b1 + b2). Both give the same result; the
 backward pass is itself a reversed scan of the same form.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import _sigmoid
+from .ops import _sigmoid, _softplus
 
 SERIES_THRESHOLD = 1e-4
 
@@ -81,14 +83,19 @@ def zeros_like_params(p: SsmParams) -> SsmParams:
     )
 
 
+def _project(x, p: SsmParams):
+    """s6_project that also returns the softplus argument, which the scan's
+    backward pass needs for softplus' = sigmoid(pre)."""
+    pre = x @ p.dt_w + p.dt_b
+    return pre, _softplus(pre), x @ p.b_w, x @ p.c_w
+
+
 def s6_project(x, p: SsmParams):
     """Per-step parameterization: (dt, input gains, readout) from the input.
 
     x: [L, C] (or [B, L, C]). dt is strictly positive via softplus.
     """
-    pre = x @ p.dt_w + p.dt_b
-    dt = np.logaddexp(0.0, pre)
-    return dt, x @ p.b_w, x @ p.c_w
+    return _project(x, p)[1:]
 
 
 @dataclass
@@ -102,28 +109,26 @@ class DiscretizedPair:
     small: np.ndarray  # True where the series branch is taken
 
 
-def _gain_factor(z, a, dt):
-    """(exp(z) - 1)/a with the series branch below the threshold. z = dt*a."""
-    small = np.abs(z) < SERIES_THRESHOLD
-    safe_a = np.where(small, 1.0, a)
-    exact = np.expm1(z) / safe_a
-    series = dt * (1.0 + z / 2.0 + (z * z) / 6.0)
-    return np.where(small, series, exact), small
-
-
 def discretize_zoh(a, b_t, dt):
     """Discretize diagonal dynamics a under step sizes dt with held inputs.
 
-    a: [C, N]; b_t: [L, N] (or [B, L, N]); dt: [L, C] (or [B, L, C]).
-    Returns decay and gain of shape [..., L, C, N].
+    a: [C, N], or any shape that broadcasts against dt[..., None];
+    b_t: [L, N] (or [..., L, N]); dt: [L, C] (or [..., L, C]).
+    Returns decay and gain of shape [..., L, C, N]. The series branch is
+    evaluated only where |dt*a| is below the threshold.
     """
     dt = np.asarray(dt, dtype=np.float64)
     if np.any(dt <= 0.0):
         raise ValueError("discretize_zoh: step sizes must be strictly positive")
     z = dt[..., None] * a
     decay = np.exp(z)
-    g, small = _gain_factor(z, a, dt[..., None])
-    gain = g * np.asarray(b_t)[..., None, :]
+    g = np.expm1(z)
+    g /= a
+    small = (-SERIES_THRESHOLD < z) & (z < SERIES_THRESHOLD)
+    if small.any():
+        zs = z[small]
+        g[small] = np.broadcast_to(dt[..., None], z.shape)[small] * (1.0 + zs / 2.0 + (zs * zs) / 6.0)
+    gain = np.multiply(g, np.asarray(b_t)[..., None, :], out=z)  # z is not needed past here
     return DiscretizedPair(decay=decay, gain=gain, g=g, small=small)
 
 
@@ -132,12 +137,10 @@ def discretize_zoh(a, b_t, dt):
 
 
 def linear_recurrence_seq(a, u):
-    """Step-by-step evaluation; a, u: [L, ...]."""
-    out = np.empty_like(u)
-    h = np.zeros_like(u[0]) if u.shape[0] else None
-    for k in range(u.shape[0]):
-        h = a[k] * h + u[k]
-        out[k] = h
+    """Step-by-step evaluation; a, u: [L, ...]. a[0] is never read."""
+    out = u.copy()
+    for k in range(1, out.shape[0]):
+        out[k] += a[k] * out[k - 1]
     return out
 
 
@@ -171,101 +174,138 @@ def linear_recurrence_par(a, u):
     return uv[:L]
 
 
-def _reversed_recurrence(decay, d_h, scan_fn):
-    """Adjoint recursion lam_k = d_h_k + decay_{k+1} * lam_{k+1}, right to left."""
-    d_rev = d_h[::-1]
-    mult = np.concatenate([np.ones_like(decay[:1]), decay[:0:-1]], axis=0)
-    lam_rev = scan_fn(mult, d_rev)
-    return lam_rev[::-1]
-
-
 # ---------------------------------------------------------------------------
 # Full selective scan with analytic backward pass.
 
 
-def _canon(x):
+def _stacked(params):
+    """K layers' weights as one SsmParams whose arrays lead with K and
+    broadcast against [K, B, L, .] inputs (a_log stays [K, C, N])."""
+    def st(field):
+        return np.stack([getattr(p, field) for p in params])
+
+    return SsmParams(a_log=st("a_log"), skip=st("skip")[:, None, None], dt_w=st("dt_w")[:, None],
+                     dt_b=st("dt_b")[:, None, None], b_w=st("b_w")[:, None], c_w=st("c_w")[:, None])
+
+
+def _to_steps(a):
+    """[K, B, L, ...] -> contiguous [L, K, B, ...]: the recurrence runs over axis 0."""
+    return np.ascontiguousarray(np.moveaxis(a, 2, 0))
+
+
+def _selective_scan(x, params, parallel: bool):
+    """K independent selective scans in one pass. x: [K, B, L, C]; params: K
+    SsmParams (the same object may repeat). Returns (y [K, B, L, C], vjp) with
+    vjp(dy) -> (dx [K, B, L, C], [SsmParams gradient per layer]).
+
+    The [.., C, N] work runs step-major, [L, K, B, C, N], so each recurrence
+    step is one contiguous slice across all K layers and the batch.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
-    raise ValueError(f"selective scan expects [L,C] or [B,L,C], got shape {x.shape}")
-
-
-def _selective_scan(x, p: SsmParams, parallel: bool):
-    x3, squeeze = _canon(x)
-    B, L, C = x3.shape
-    if C != p.channels:
-        raise ValueError(f"input has {C} channels, params expect {p.channels}")
+    K, B, L, C = x.shape
+    for p in params:
+        if C != p.channels:
+            raise ValueError(f"input has {C} channels, params expect {p.channels}")
+    N = params[0].state_dim
     scan_fn = linear_recurrence_par if parallel else linear_recurrence_seq
     if L == 0:
         def vjp_empty(dy):
-            return np.zeros_like(x), zeros_like_params(p)
+            return np.zeros_like(x), [zeros_like_params(p) for p in params]
 
         return np.zeros_like(x), vjp_empty
 
-    dt, b_t, c_t = s6_project(x3, p)       # [B,L,C], [B,L,N], [B,L,N]
-    a = p.materialized_a()                 # [C,N]
-    pair = discretize_zoh(a, b_t, dt)      # [B,L,C,N] each
-    decay, gain, g, small = pair.decay, pair.gain, pair.g, pair.small
-    u = gain * x3[..., None]
-    # scan over L with batch folded into trailing axes
-    hT = scan_fn(np.ascontiguousarray(decay.transpose(1, 0, 2, 3)),
-                 np.ascontiguousarray(u.transpose(1, 0, 2, 3)))
-    h = hT.transpose(1, 0, 2, 3)           # [B,L,C,N]
-    y3 = np.einsum("blcn,bln->blc", h, c_t) + p.skip * x3
-    y = y3[0] if squeeze else y3
+    ps = _stacked(params)
+    pre, dt, b_t, c_t = _project(x, ps)          # [K,B,L,C], [K,B,L,N] x2
+    a = ps.materialized_a()                      # [K,C,N]
+    a5 = a[:, None]                              # broadcasts against [L,K,B,C,N]
+    xs, dts, bs, cs = (_to_steps(v) for v in (x, dt, b_t, c_t))
+    pair = discretize_zoh(a5, bs, dts)           # [L,K,B,C,N]
+    decay, g, small = pair.decay, pair.g, pair.small
+    u = pair.gain
+    u *= xs[..., None]
+    h = scan_fn(decay, u)
+    del u, pair
+    ys = np.einsum("lkbcn,lkbn->lkbc", h, cs)
+    ys += ps.skip[:, 0] * xs
+    y = np.moveaxis(ys, 0, 2)
 
     def vjp(dy):
-        dy3 = np.asarray(dy, dtype=np.float64)
-        dy3 = dy3[None] if squeeze else dy3
-        dskip = np.einsum("blc,blc->c", dy3, x3)
-        dx = dy3 * p.skip
-        dc_t = np.einsum("blc,blcn->bln", dy3, h)
-        d_h = dy3[..., None] * c_t[:, :, None, :]
-        lamT = _reversed_recurrence(np.ascontiguousarray(decay.transpose(1, 0, 2, 3)),
-                                    np.ascontiguousarray(d_h.transpose(1, 0, 2, 3)),
-                                    scan_fn)
-        lam = lamT.transpose(1, 0, 2, 3)
-        dgain = lam * x3[..., None]
-        dx += np.einsum("blcn,blcn->blc", lam, gain)
-        h_prev = np.concatenate([np.zeros_like(h[:, :1]), h[:, :-1]], axis=1)
-        ddecay = lam * h_prev
-        dg = dgain * b_t[:, :, None, :]
-        db_t = np.einsum("blcn,blcn->bln", dgain, g)
-        # branch-aware partials of g = (exp(z)-1)/a wrt dt and a
-        dt4 = dt[..., None]
-        z = dt4 * a
-        g_dt = np.where(small, 1.0 + z + (z * z) / 2.0, decay)
-        safe_a = np.where(small, 1.0, a)
-        g_a = np.where(small, dt4 * dt4 * (0.5 + z / 3.0), (dt4 * decay - g) / safe_a)
-        ddt = np.sum(ddecay * decay * a + dg * g_dt, axis=-1)
-        da = np.sum(ddecay * decay * dt4 + dg * g_a, axis=(0, 1))
+        dys = _to_steps(np.asarray(dy, dtype=np.float64))    # [L,K,B,C]
+        dskip = np.einsum("lkbc,lkbc->kc", dys, xs)
+        dc_t = np.einsum("lkbc,lkbcn->lkbn", dys, h)
+        lam = dys[..., None] * cs[:, :, :, None, :]           # d_h, then the adjoint
+        # The adjoint lam_k = d_h_k + decay_{k+1} * lam_{k+1} runs right to left.
+        # In terms of mu = decay * lam it is the forward recurrence
+        # mu_k = decay_k * mu_{k+1} + decay_k * d_h_k over reversed views.
+        mu = scan_fn(decay[::-1], (lam * decay)[::-1])[::-1]
+        lam[:-1] += mu[1:]
+        # chain through decay = exp(z): lam_k * h_{k-1} * decay_k = mu_k * h_{k-1}
+        q = mu
+        q[0] = 0.0
+        q[1:] *= h[:-1]
+        lam_g = lam * g
+        dxs = dys * ps.skip[:, 0] + np.einsum("lkbcn,lkbn->lkbc", lam_g, bs)
+        db_t = np.einsum("lkbcn,lkbc->lkbn", lam_g, xs)
+        dg = lam
+        dg *= xs[..., None]
+        dg *= bs[:, :, :, None, :]
+        # partials of g wrt dt and a: decay and (dt*decay - g)/a off the series
+        # branch, the derivatives of dt*(1 + z/2 + z^2/6) on it
+        g_dt = decay
+        g_a = np.multiply(dts[..., None], decay, out=lam_g)
+        g_a -= g
+        g_a /= a5
+        if small.any():
+            g_dt = decay.copy()
+            dt_s = np.broadcast_to(dts[..., None], g.shape)[small]
+            z_s = dt_s * np.broadcast_to(a5, g.shape)[small]
+            g_dt[small] = 1.0 + z_s + (z_s * z_s) / 2.0
+            g_a[small] = dt_s * dt_s * (0.5 + z_s / 3.0)
+        ddt = np.einsum("lkbcn,kcn->lkbc", q, a) + np.einsum("lkbcn,lkbcn->lkbc", dg, g_dt)
+        da = np.einsum("lkbcn,lkbc->kcn", q, dts) + np.einsum("lkbcn,lkbcn->kcn", dg, g_a)
+        dpre = np.moveaxis(ddt, 0, 2) * _sigmoid(pre)          # [K,B,L,C]
+        db_t = np.moveaxis(db_t, 0, 2)
+        dc_t = np.moveaxis(dc_t, 0, 2)
+        dx = np.moveaxis(dxs, 0, 2) + (dpre @ np.swapaxes(ps.dt_w, -1, -2)
+                                       + db_t @ np.swapaxes(ps.b_w, -1, -2)
+                                       + dc_t @ np.swapaxes(ps.c_w, -1, -2))
+        xt = np.swapaxes(x.reshape(K, B * L, C), 1, 2)
+        ddt_w = xt @ dpre.reshape(K, B * L, C)
+        ddt_b = dpre.sum(axis=(1, 2))
+        db_w = xt @ db_t.reshape(K, B * L, N)
+        dc_w = xt @ dc_t.reshape(K, B * L, N)
         da_log = da * a
-        # softplus'(pre) = sigmoid(pre); -expm1(-dt) is the same value but differs
-        # in the last bit for many elements, so recompute pre to keep gradients exact
-        dpre = ddt * _sigmoid(x3 @ p.dt_w + p.dt_b)
-        x2 = x3.reshape(-1, C)
-        ddt_w = x2.T @ dpre.reshape(-1, C)
-        ddt_b = dpre.reshape(-1, C).sum(axis=0)
-        db_w = x2.T @ db_t.reshape(-1, p.state_dim)
-        dc_w = x2.T @ dc_t.reshape(-1, p.state_dim)
-        dx += dpre @ p.dt_w.T + db_t @ p.b_w.T + dc_t @ p.c_w.T
-        dp = SsmParams(a_log=da_log, skip=dskip, dt_w=ddt_w, dt_b=ddt_b,
-                       b_w=db_w, c_w=dc_w)
-        return (dx[0] if squeeze else dx), dp
+        dps = [SsmParams(a_log=da_log[k], skip=dskip[k], dt_w=ddt_w[k], dt_b=ddt_b[k],
+                         b_w=db_w[k], c_w=dc_w[k]) for k in range(K)]
+        return dx, dps
 
     return y, vjp
 
 
+def _single_scan(x, p: SsmParams, parallel: bool):
+    """One layer: the K = 1 case of _selective_scan on [L, C] or [B, L, C]."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (2, 3):
+        raise ValueError(f"selective scan expects [L,C] or [B,L,C], got shape {x.shape}")
+    squeeze = x.ndim == 2
+    y, vjp_k = _selective_scan((x[None] if squeeze else x)[None], [p], parallel)
+
+    def vjp(dy):
+        dy = np.asarray(dy, dtype=np.float64)
+        dx, (dp,) = vjp_k((dy[None] if squeeze else dy)[None])
+        return (dx[0, 0] if squeeze else dx[0]), dp
+
+    return (y[0, 0] if squeeze else y[0]), vjp
+
+
 def selective_scan_seq(x, p: SsmParams):
     """Sequential evaluation of the selective scan. Returns (y, vjp)."""
-    return _selective_scan(x, p, parallel=False)
+    return _single_scan(x, p, parallel=False)
 
 
 def selective_scan_par(x, p: SsmParams):
     """Parallel-scan evaluation; same result as the sequential form."""
-    return _selective_scan(x, p, parallel=True)
+    return _single_scan(x, p, parallel=True)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,7 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
     start = 0
     if resume_from is not None:
         tensors, manifest = load_checkpoint(resume_from)
+        check_format(manifest, CHECKPOINT_FORMAT)
         start = int(manifest["iteration"])
         params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
         opt = OptimizerState(

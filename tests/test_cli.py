@@ -168,6 +168,15 @@ def test_eval_refuses_model_checkpoint_as_sr(dataset, tmp_path, capsys):
     assert "crackfuse-sr-v1" in err and "crackfuse-checkpoint-v1" in err
 
 
+def test_train_resume_refuses_sr_checkpoint(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "sr.ckpt"
+    assert run_cli("sr-train", "--data", str(dataset), "--out", str(ckpt), "--iters", "2") == 0
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(_run_config(dataset, tmp_path)),
+                   "--resume", str(ckpt)) == 2
+    assert "crackfuse-checkpoint-v1" in capsys.readouterr().err
+
+
 def test_eval_fused_variant_requires_sr_checkpoint(dataset, capsys):
     assert run_cli("eval", "--data", str(dataset), "--variant", "PRGB_plus_PIRprime") == 1
     assert "--sr-checkpoint" in capsys.readouterr().err

@@ -235,6 +235,15 @@ def test_model_forward_shapes_and_channel_error():
         segnet.model_forward(np.zeros((3, 48, 48)), model)
 
 
+def test_model_forward_blelloch_matches_sequential():
+    # grids 24, 12, 6, 3: not powers of two, so the parallel scan pads
+    model = segnet.init_model(segnet.ModelConfig(), rng(30))
+    img = rng(31).standard_normal((6, 72, 72)) * 0.5
+    seq, _ = segnet.model_forward(img, model, parallel=False)
+    par, _ = segnet.model_forward(img, model, parallel=True)
+    assert np.max(np.abs(par - seq)) <= 1e-9
+
+
 def test_model_accepts_3_and_6_channel_configs():
     for cin in (3, 6):
         cfg = segnet.ModelConfig(in_channels=cin, embed_dims=(8, 16, 32, 64),

@@ -90,6 +90,18 @@ def test_recurrence_hand_example():
     np.testing.assert_allclose(h_par, h_seq)
 
 
+def test_recurrence_seq_matches_step_loop():
+    rng = np.random.default_rng(25)
+    a = rng.uniform(0.0, 1.0, size=(50, 3, 2))
+    u = rng.standard_normal((50, 3, 2))
+    want = np.empty_like(u)
+    h = np.zeros_like(u[0])
+    for k in range(50):
+        h = a[k] * h + u[k]
+        want[k] = h
+    np.testing.assert_array_equal(ssm.linear_recurrence_seq(a, u), want)
+
+
 def test_scan_zero_input_zero_output():
     p = make_params(3, 2)
     y, _ = ssm.selective_scan_seq(np.zeros((9, 3)), p)
