@@ -170,12 +170,29 @@ def depthwise_conv2d(x, k):
     return (y[0] if squeeze else y), vjp
 
 
+# Bytes of one row block's accumulator in conv2d: small enough that it and
+# its tap product stay in a core's cache and are reused from call to call
+# instead of being freshly paged in.
+_CONV_BLOCK_BYTES = 1 << 19
+
+
 def conv2d(x, w, b):
     """Dense 2d convolution, odd kernel, zero same-padding.
 
-    x: [Cin,H,W] or [B,Cin,H,W]; w: [Cout,Cin,kh,kw]; b: [Cout]. Evaluated as
-    one channel-mixing matmul per kernel tap, keeping memory at O(image) for
-    large inputs.
+    x: [Cin,H,W] or [B,Cin,H,W]; w: [Cout,Cin,kh,kw]; b: [Cout].
+
+    Evaluated as one GEMM per kernel tap on shifted slices of the padded
+    input, with no window copies. Each padded image (Hp x Wp) is viewed as
+    one flat row of Hp*Wp pixels. Output pixel (i, j) of tap (u, v) reads
+    flat position (i*Wp + j) + (u*Wp + v), so a tap's input for output rows
+    [i0, i1) is the contiguous slice [i0*Wp + off, i1*Wp + off) with
+    off = u*Wp + v, and ``w[:, :, u, v] @ slice`` is its contribution. The
+    sum is formed on an [rows, Wp] grid whose last 2*pw columns wrap into the
+    next row and are dropped; one extra zero row at the bottom keeps the
+    last tap's slice in bounds. Output rows are taken in blocks sized to
+    stay in cache. The vjp runs the same slices, with zeros in the wrap
+    columns of the upstream: per tap, dw += dy @ slice.T and
+    dx[slice] += w.T @ dy. Memory stays O(image).
     """
     x4, squeeze = _lift_chw(x)
     co, ci, kh, kw = w.shape
@@ -185,27 +202,45 @@ def conv2d(x, w, b):
         raise ValueError(f"conv2d: input has {x4.shape[1]} channels, weight expects {ci}")
     bsz, _, h, wd = x4.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    hp, wp = h + 2 * ph + (pw > 0), wd + 2 * pw
+    xp = np.zeros((bsz, ci, hp, wp))
+    xp[:, :, ph : ph + h, pw : pw + wd] = x4
+    xf = xp.reshape(bsz, ci, hp * wp)
+    # [kh, kw, Cout, Cin]: each tap's matrix is contiguous, so BLAS takes it as is
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    taps = [(u, v, u * wp + v) for u in range(kh) for v in range(kw)]
+    rows = max(1, min(h, _CONV_BLOCK_BYTES // max(1, 8 * bsz * co * wp)))
+    blocks = [(i, min(rows, h - i)) for i in range(0, h, rows)]
+
     y = np.empty((bsz, co, h, wd))
-    y[:] = b[None, :, None, None]
-    for u in range(kh):
-        for v in range(kw):
-            y += np.einsum("oc,bchw->bohw", w[:, :, u, v],
-                           xp[:, :, u : u + h, v : v + wd], optimize=True)
+    acc = np.empty((bsz, co, rows * wp))
+    tmp = np.empty_like(acc)
+    for i, r in blocks:
+        s, m = i * wp, r * wp
+        a, t = acc[:, :, :m], tmp[:, :, :m]
+        for k, (u, v, off) in enumerate(taps):
+            np.matmul(wt[u, v], xf[:, :, s + off : s + off + m], out=t if k else a)
+            if k:
+                a += t
+        np.add(a.reshape(bsz, co, r, wp)[..., :wd], b[None, :, None, None],
+               out=y[:, :, i : i + r])
 
     def vjp(dy):
         dy4 = dy[None] if squeeze else dy
         db = dy4.sum(axis=(0, 2, 3))
-        dw = np.empty_like(w)
-        dxp = np.zeros_like(xp)
-        for u in range(kh):
-            for v in range(kw):
-                patch = xp[:, :, u : u + h, v : v + wd]
-                dw[:, :, u, v] = np.einsum("bohw,bchw->oc", dy4, patch, optimize=True)
-                dxp[:, :, u : u + h, v : v + wd] += np.einsum(
-                    "oc,bohw->bchw", w[:, :, u, v], dy4, optimize=True)
-        dx = dxp[:, :, ph : ph + h, pw : pw + wd]
-        return (dx[0] if squeeze else dx, dw, db)
+        dwt = np.zeros_like(wt)
+        dxf = np.zeros_like(xf)
+        dyb = np.zeros((bsz, co, rows, wp))  # the wrap columns stay zero
+        tmp = np.empty((bsz, ci, rows * wp))
+        for i, r in blocks:
+            s, m = i * wp, r * wp
+            dyb[:, :, :r, :wd] = dy4[:, :, i : i + r]
+            g, t = dyb.reshape(bsz, co, rows * wp)[:, :, :m], tmp[:, :, :m]
+            for u, v, off in taps:
+                dwt[u, v] += (g @ xf[:, :, s + off : s + off + m].transpose(0, 2, 1)).sum(axis=0)
+                dxf[:, :, s + off : s + off + m] += np.matmul(wt[u, v].T, g, out=t)
+        dx = dxf.reshape(bsz, ci, hp, wp)[:, :, ph : ph + h, pw : pw + wd]
+        return (dx[0] if squeeze else dx, dwt.transpose(2, 3, 0, 1).copy(), db)
 
     return (y[0] if squeeze else y), vjp
 

@@ -6,7 +6,6 @@ carry a fixed timestamp so save -> load -> save is byte-identical.
 """
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -141,16 +140,26 @@ CHECKPOINT_FORMAT = "crackfuse-checkpoint-v1"
 
 
 def save_checkpoint(path, named_tensors: dict, manifest: dict) -> None:
+    """Write the archive to a temporary file beside path, flush and fsync it,
+    then rename it over path, so a crash mid-save leaves the previous
+    checkpoint whole."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_STORED) as z:
-        info = zipfile.ZipInfo("manifest.json", date_time=_ZIP_STAMP)
-        z.writestr(info, json.dumps(manifest, sort_keys=True, indent=1))
-        for name in sorted(named_tensors):
-            info = zipfile.ZipInfo(f"tensors/{name}.mscm", date_time=_ZIP_STAMP)
-            z.writestr(info, tensor_to_bytes(named_tensors[name]))
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            with zipfile.ZipFile(f, "w", compression=zipfile.ZIP_STORED) as z:
+                info = zipfile.ZipInfo("manifest.json", date_time=_ZIP_STAMP)
+                z.writestr(info, json.dumps(manifest, sort_keys=True, indent=1))
+                for name in sorted(named_tensors):
+                    info = zipfile.ZipInfo(f"tensors/{name}.mscm", date_time=_ZIP_STAMP)
+                    z.writestr(info, tensor_to_bytes(named_tensors[name]))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def check_format(manifest: dict, expected: str) -> None:
@@ -158,6 +167,20 @@ def check_format(manifest: dict, expected: str) -> None:
     found = manifest.get("format")
     if found != expected:
         raise ValueError(f"expected a {expected} checkpoint, found format {found!r}")
+
+
+def check_resume(manifest: dict, model_config: dict, train_config: dict) -> None:
+    """Refuse to resume a run whose model or schedule differs from the one
+    that wrote the checkpoint. The checkpoint directory may differ."""
+    diffs = []
+    for section, current in (("model_config", model_config), ("train_config", train_config)):
+        saved = manifest.get(section, {})
+        for key in sorted(set(saved) | set(current)):
+            if key != "checkpoint_dir" and saved.get(key) != current.get(key):
+                diffs.append(f"{section}.{key} is {saved.get(key)!r} in the checkpoint, "
+                             f"{current.get(key)!r} in this run")
+    if diffs:
+        raise ValueError("checkpoint does not match this run: " + "; ".join(diffs))
 
 
 def load_checkpoint(path):
@@ -224,6 +247,7 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
     if resume_from is not None:
         tensors, manifest = load_checkpoint(resume_from)
         check_format(manifest, CHECKPOINT_FORMAT)
+        check_resume(manifest, model.cfg.to_dict(), cfg.to_dict())
         start = int(manifest["iteration"])
         params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
         opt = OptimizerState(

@@ -177,6 +177,20 @@ def test_train_resume_refuses_sr_checkpoint(dataset, tmp_path, capsys):
     assert "crackfuse-checkpoint-v1" in capsys.readouterr().err
 
 
+def test_train_resume_refuses_changed_schedule(dataset, tmp_path, capsys):
+    assert run_cli("train", "--config", str(_run_config(dataset, tmp_path))) == 0
+    changed = tmp_path / "changed"
+    changed.mkdir()
+    cfg = _run_config(dataset, changed)
+    doc = json.loads(cfg.read_text())
+    doc["train"]["total_iters"] = 6
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(cfg),
+                   "--resume", str(tmp_path / "ck" / "last.ckpt")) == 2
+    assert "total_iters" in capsys.readouterr().err
+
+
 def test_eval_fused_variant_requires_sr_checkpoint(dataset, capsys):
     assert run_cli("eval", "--data", str(dataset), "--variant", "PRGB_plus_PIRprime") == 1
     assert "--sr-checkpoint" in capsys.readouterr().err

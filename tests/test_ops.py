@@ -87,6 +87,63 @@ def test_depthwise_even_kernel_rejected():
         ops.depthwise_conv2d(np.zeros((1, 4, 4)), np.zeros((1, 2, 2)))
 
 
+def _conv2d_direct(x, w, b, dy):
+    """Same-padded conv2d and the gradients of sum(dy * y), one output pixel
+    and one kernel tap at a time."""
+    x4, dy4 = (x[None], dy[None]) if x.ndim == 3 else (x, dy)
+    bsz, _, h, wd = x4.shape
+    _, _, kh, kw = w.shape
+    y = np.zeros((bsz, w.shape[0], h, wd))
+    dx, dw = np.zeros_like(x4), np.zeros_like(w)
+    for n in range(bsz):
+        for i in range(h):
+            for j in range(wd):
+                y[n, :, i, j] = b
+                for u in range(kh):
+                    for v in range(kw):
+                        r, c = i + u - kh // 2, j + v - kw // 2
+                        if 0 <= r < h and 0 <= c < wd:
+                            y[n, :, i, j] += w[:, :, u, v] @ x4[n, :, r, c]
+                            dx[n, :, r, c] += w[:, :, u, v].T @ dy4[n, :, i, j]
+                            dw[:, :, u, v] += np.outer(dy4[n, :, i, j], x4[n, :, r, c])
+    db = dy4.sum(axis=(0, 2, 3))
+    if x.ndim == 3:
+        return y[0], dx[0], dw, db
+    return y, dx, dw, db
+
+
+_CONV_CASES = [(shape, kernel)
+               for shape in [(2, 4, 6), (3, 2, 5, 7), (3, 1, 6, 5)]
+               for kernel in [(1, 1), (3, 3), (5, 5), (1, 3), (3, 1), (5, 3)]]
+# images smaller than their kernel, unbatched and batched
+_CONV_CASES += [((2, 2, 2), (5, 5)), ((3, 1, 2, 2), (5, 5))]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2])
+@pytest.mark.parametrize("shape,kernel", _CONV_CASES)
+def test_conv2d_matches_direct_sum(shape, kernel, rows, monkeypatch):
+    """Wrap columns and batch boundaries, with the output taken in one row
+    block, in blocks of one row, and in blocks of two rows (the last block
+    of an odd height is partial)."""
+    if rows is not None:
+        bsz = shape[0] if len(shape) == 4 else 1
+        wp = shape[-1] + 2 * (kernel[1] // 2)
+        monkeypatch.setattr(ops, "_CONV_BLOCK_BYTES", rows * 8 * bsz * 3 * wp)
+    rng = np.random.default_rng(sum(shape) * 10 + kernel[0] * 3 + kernel[1])
+    x = rng.standard_normal(shape)
+    x0 = x.copy()
+    w = rng.standard_normal((3, shape[-3]) + kernel)
+    b = rng.standard_normal(3)
+    y, vjp = ops.conv2d(x, w, b)
+    dy = rng.standard_normal(y.shape)
+    want = _conv2d_direct(x, w, b, dy)
+    assert y.flags.c_contiguous
+    for got, ref in zip((y,) + vjp(dy), want):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(x, x0)
+
+
 def test_resize_identity_and_constant():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 7, 9))
@@ -178,7 +235,9 @@ def test_gradients_random_shapes(trial):
           rng.standard_normal(c + 2)]),
         ("depthwise", ops.depthwise_conv2d, [x, rng.standard_normal((c, 3, 3))]),
         ("conv2d", ops.conv2d,
-         [x, rng.standard_normal((2, c, 3, 3)), rng.standard_normal(2)]),
+         [rng.standard_normal((int(rng.integers(1, 4)), c, h, w)),
+          rng.standard_normal((2, c, int(rng.choice([1, 3, 5])), int(rng.choice([1, 3])))),
+          rng.standard_normal(2)]),
         ("bicubic", lambda a: ops.resize_bicubic(a, h + 3, w - 1), [x]),
         ("bilinear", lambda a: ops.resize_bilinear(a, h - 1, w + 2), [x]),
         ("pool", lambda a: ops.adaptive_avg_pool2d(a, 2, 3), [x]),

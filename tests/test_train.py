@@ -157,6 +157,47 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_save_failure_keeps_previous(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    old = {"a.w": rng.standard_normal((3, 4)), "b.v": rng.standard_normal(5)}
+    path = tmp_path / "last.ckpt"
+    train.save_checkpoint(path, old, {"iteration": 1})
+    before = path.read_bytes()
+
+    calls = []
+    real = train.tensor_to_bytes
+
+    def failing(arr):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real(arr)
+
+    monkeypatch.setattr(train, "tensor_to_bytes", failing)
+    new = {k: v + 1.0 for k, v in old.items()}
+    with pytest.raises(OSError, match="disk full"):
+        train.save_checkpoint(path, new, {"iteration": 2})
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    tensors, manifest = train.load_checkpoint(path)
+    assert manifest["iteration"] == 1
+    for k, v in old.items():
+        assert np.array_equal(tensors[k], v)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
+
+
+def test_resume_refuses_mismatched_run(tmp_path):
+    tcfg, tsrc, vsrc = _toy_setup(tmp_path / "half", total=6, eval_interval=3)
+    model = segnet.init_model(CFG3, data.named_rng(0, "init"))
+    half = train.train(model, tsrc, tcfg, stop_after=1)
+    tcfg_b, tsrc_b, _ = _toy_setup(tmp_path / "resume", total=8, eval_interval=4)
+    model_b = segnet.init_model(CFG3, data.named_rng(0, "init"))
+    with pytest.raises(ValueError, match="total_iters") as err:
+        train.train(model_b, tsrc_b, tcfg_b, resume_from=half.last_path)
+    assert "eval_interval" in str(err.value)
+    assert "checkpoint_dir" not in str(err.value)
+
+
 def test_training_logs_jsonl(tmp_path):
     tcfg, tsrc, vsrc = _toy_setup(tmp_path, total=4, eval_interval=2)
     model = segnet.init_model(CFG3, data.named_rng(0, "init"))
