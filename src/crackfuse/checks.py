@@ -1,8 +1,8 @@
 """The package-wide gradient-check suite.
 
-Each entry wraps one differentiable operation (including the composites) as
-a pure function of plain arrays so the finite-difference checker can
-perturb every input. The CLI `gradcheck` command and the acceptance tests
+Each entry is one differentiable operation (including the composites) with
+its inputs, arrays or weight trees, so the finite-difference checker can
+perturb every leaf. The CLI `gradcheck` command and the acceptance tests
 both run this list.
 """
 from __future__ import annotations
@@ -11,25 +11,6 @@ import numpy as np
 
 from . import ops, scan2d, segnet, ssm, train
 from .gradcheck import grad_check
-from .trees import tree_flatten, tree_unflatten
-
-
-def _tree_fn(fn_of_tree, template):
-    """Adapt fn(tree) -> (y, vjp->(dx, gradtree)) to positional arrays."""
-    names = list(tree_flatten(template).keys())
-
-    def wrapped(x, *arrays):
-        tree = tree_unflatten(template, dict(zip(names, arrays)))
-        y, vjp = fn_of_tree(x, tree)
-
-        def vjp_list(dy):
-            dx, gtree = vjp(dy)
-            gflat = tree_flatten(gtree)
-            return (dx, *(gflat[n] for n in names))
-
-        return y, vjp_list
-
-    return wrapped, names
 
 
 def suite():
@@ -37,14 +18,9 @@ def suite():
     rng = np.random.default_rng(7)
     entries = []
 
-    def add(name, fn, inputs, input_names=None, max_entries=None):
+    def add(name, fn, inputs, max_entries=None):
         entries.append((name, lambda tol: grad_check(
-            fn, inputs, tol=tol, name=name, input_names=input_names,
-            max_entries_per_input=max_entries)))
-
-    def add_tree(name, fn_of_tree, x, template):
-        fn, names = _tree_fn(fn_of_tree, template)
-        add(name, fn, [x, *tree_flatten(template).values()], input_names=["x"] + names)
+            fn, inputs, tol=tol, name=name, max_entries_per_input=max_entries)))
 
     x = rng.standard_normal((4, 6))
     add("silu", ops.silu, [x])
@@ -52,18 +28,14 @@ def suite():
     add("softplus", ops.softplus, [x])
     add("sigmoid", ops.sigmoid, [x])
     add("clamp01", ops.clamp01, [rng.uniform(0.1, 0.9, size=(3, 5))])
-    add("layer_norm", lambda a, g, b: ops.layer_norm(a, g, b),
-        [rng.standard_normal((3, 7)), rng.standard_normal(7), rng.standard_normal(7)],
-        input_names=["x", "gamma", "beta"])
+    add("layer_norm", ops.layer_norm,
+        [rng.standard_normal((3, 7)), rng.standard_normal(7), rng.standard_normal(7)])
     add("linear", ops.linear,
-        [rng.standard_normal((5, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)],
-        input_names=["x", "w", "b"])
+        [rng.standard_normal((5, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)])
     add("depthwise_conv2d", ops.depthwise_conv2d,
-        [rng.standard_normal((3, 5, 4)), rng.standard_normal((3, 3, 3))],
-        input_names=["x", "k"])
+        [rng.standard_normal((3, 5, 4)), rng.standard_normal((3, 3, 3))])
     add("conv2d", ops.conv2d,
-        [rng.standard_normal((2, 5, 5)), rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)],
-        input_names=["x", "w", "b"])
+        [rng.standard_normal((2, 5, 5)), rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)])
     add("resize_bicubic", lambda a: ops.resize_bicubic(a, 9, 7), [rng.standard_normal((2, 5, 4))])
     add("resize_bilinear", lambda a: ops.resize_bilinear(a, 3, 9), [rng.standard_normal((2, 5, 4))])
     add("adaptive_avg_pool2d", lambda a: ops.adaptive_avg_pool2d(a, 3, 3),
@@ -73,17 +45,17 @@ def suite():
     for scan_name in ("selective_scan_seq", "selective_scan_par"):
         rng1 = np.random.default_rng(3)
         seq = rng1.standard_normal((16, 3)) * 0.5
-        add_tree(scan_name, getattr(ssm, scan_name), seq, ssm.init_ssm_params(3, 4, rng1))
+        add(scan_name, getattr(ssm, scan_name), [seq, ssm.init_ssm_params(3, 4, rng1)])
 
     # ss2d on a 3x3 grid, two channels, independent directions
     rng2 = np.random.default_rng(11)
     grid = rng2.standard_normal((3, 3, 2)) * 0.5
-    add_tree("ss2d", scan2d.ss2d, grid, [ssm.init_ssm_params(2, 2, rng2) for _ in range(4)])
+    add("ss2d", scan2d.ss2d, [grid, [ssm.init_ssm_params(2, 2, rng2) for _ in range(4)]])
 
     # full residual block on a 3x3 grid, C=4
     rng3 = np.random.default_rng(13)
     bx = rng3.standard_normal((3, 3, 4)) * 0.5
-    add_tree("vss_block", segnet.vss_block, bx, segnet.init_block(4, 2, rng3))
+    add("vss_block", segnet.vss_block, [bx, segnet.init_block(4, 2, rng3)])
 
     # patch embed and downsample
     rng4 = np.random.default_rng(17)
@@ -91,52 +63,24 @@ def suite():
                              state_dim=2, num_classes=2, decoder_dim=4)
     img = rng4.standard_normal((2, 6, 6))
     emb = segnet.PatchEmbedWeights(w=rng4.standard_normal((2 * 9, 4)) * 0.2, b=np.zeros(4))
-    add("patch_embed",
-        lambda a, w, b: _pair_to_list(segnet.patch_embed(a, segnet.PatchEmbedWeights(w=w, b=b), cfg)),
-        [img, emb.w, emb.b], input_names=["image", "w", "b"])
+    add("patch_embed", lambda a, w: segnet.patch_embed(a, w, cfg), [img, emb])
     dw = segnet.DownsampleWeights(w=rng4.standard_normal((16, 8)) * 0.2, b=np.zeros(8))
-    add("downsample",
-        lambda a, w, b: _pair_to_list(segnet.downsample(a, segnet.DownsampleWeights(w=w, b=b))),
-        [rng4.standard_normal((4, 4, 4)), dw.w, dw.b], input_names=["x", "w", "b"])
+    add("downsample", segnet.downsample, [rng4.standard_normal((4, 4, 4)), dw])
 
     # decoder on a reduced two-level config
     rng5 = np.random.default_rng(19)
     feats = [rng5.standard_normal((4, 4, 4)) * 0.5, rng5.standard_normal((2, 2, 8)) * 0.5]
     dec = segnet.init_decoder((4, 8), 4, 2, rng5)
-    dec_names = list(tree_flatten(dec).keys())
-
-    def dec_fn(f0, f1, *arrs):
-        tree = tree_unflatten(dec, dict(zip(dec_names, arrs)))
-        y, vjp = segnet.uper_decode([f0, f1], tree, 12, 12)
-
-        def vjp_list(dy):
-            dfeats, dg = vjp(dy)
-            gflat = tree_flatten(dg)
-            return (dfeats[0], dfeats[1], *(gflat[n] for n in dec_names))
-
-        return y, vjp_list
-
-    add("uper_decode", dec_fn, [feats[0], feats[1], *tree_flatten(dec).values()],
-        input_names=["f0", "f1"] + dec_names, max_entries=40)
+    add("uper_decode", lambda f, w: segnet.uper_decode(f, w, 12, 12), [feats, dec],
+        max_entries=40)
 
     # pixel cross-entropy wrt logits
     rng6 = np.random.default_rng(23)
     logits = rng6.standard_normal((1, 2, 4, 4))
     target = rng6.integers(0, 2, size=(1, 4, 4))
-    add("cross_entropy", lambda lg: train.cross_entropy(lg, target), [logits],
-        input_names=["logits"])
+    add("cross_entropy", lambda lg: train.cross_entropy(lg, target), [logits])
 
     return entries
-
-
-def _pair_to_list(pair):
-    y, vjp = pair
-
-    def vjp_list(dy):
-        dx, gtree = vjp(dy)
-        return (dx, *tree_flatten(gtree).values())
-
-    return y, vjp_list
 
 
 def run_suite(tol=1e-4):

@@ -8,6 +8,7 @@ lines on stderr, never in output files).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -60,10 +61,8 @@ def _prepare_out(path, force):
 # --------------------------------------------------------------------------
 # Run configuration (train/eval/ablate)
 
-_MODEL_KEYS = {"in_channels", "patch_size", "embed_dims", "depths", "state_dim",
-               "num_classes", "decoder_dim"}
-_TRAIN_KEYS = {"total_iters", "batch_size", "base_lr", "weight_decay", "warmup_iters",
-               "poly_power", "seed", "eval_interval", "checkpoint_dir", "grad_clip"}
+_MODEL_KEYS = {f.name for f in dataclasses.fields(segnet.ModelConfig)}
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(train.TrainConfig)}
 _TOP_KEYS = {"data_root", "variant", "sr_checkpoint", "patch", "log_path", "model", "train"}
 
 
@@ -91,16 +90,6 @@ def load_run_config(path) -> dict:
     except json.JSONDecodeError as e:
         raise UsageError(f"config file {path} is not valid JSON: {e}") from None
     return validate_run_config(doc)
-
-
-def _build_model_cfg(doc, in_channels):
-    merged = {"in_channels": in_channels}
-    merged.update(doc.get("model", {}))
-    if "embed_dims" in merged:
-        merged["embed_dims"] = tuple(merged["embed_dims"])
-    if "depths" in merged:
-        merged["depths"] = tuple(merged["depths"])
-    return segnet.ModelConfig(**merged)
 
 
 def _load_sr(path):
@@ -211,7 +200,8 @@ def _make_sources(doc, manifest, samples, sr_model=None):
     table = data.materialize(samples, variant, sr_model=sr_model)
     tcfg = train.TrainConfig(**doc.get("train", {}))
     some_input = table[manifest.ids[0]][0]
-    cfg = _build_model_cfg(doc, in_channels=some_input.shape[0])
+    cfg = segnet.ModelConfig.from_dict({"in_channels": some_input.shape[0],
+                                        **doc.get("model", {})})
     patch = _fit_patch(doc.get("patch", 48), some_input.shape[-2:], cfg.grid_divisor)
 
     def source(split):
@@ -249,7 +239,7 @@ def cmd_eval(args):
         tensors, ck_manifest = train.load_checkpoint(args.checkpoint)
         train.check_format(ck_manifest, train.CHECKPOINT_FORMAT)
         model_doc = ck_manifest["model_config"]
-        weights = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
+        weights, _opt = train.split_checkpoint(tensors)
     doc = validate_run_config({
         "data_root": args.data, "variant": variant, "patch": args.patch, "model": model_doc,
         "train": {"batch_size": args.batch_size, "seed": args.seed},

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .trees import tree_flatten, tree_unflatten
+
 _FD_STEP = float(np.finfo(np.float64).eps) ** (1.0 / 3.0)
 
 
@@ -36,40 +38,55 @@ class GradCheckReport:
         return f"[{flag}] {self.op_name}: max rel err {self.max_rel_err:.3e} (tol {self.tol:.1e})"
 
 
-def grad_check(fn, inputs, tol=1e-5, seed=0, max_entries_per_input=None,
-               name="op", input_names=None):
+def _as_tree(out):
+    """out as a weight tree; a bare scalar (a loss) is one unnamed leaf."""
+    return out if tree_flatten(out) else np.asarray(out)
+
+
+def grad_check(fn, inputs, tol=1e-5, seed=0, max_entries_per_input=None, name="op"):
     """Compare fn's analytic vjp against central finite differences.
 
     fn(*inputs) must return (y, vjp) with vjp(u) giving one gradient per
-    input, in order. inputs are float64 arrays. For large inputs,
+    input, in order. Each input is a float array or a weight tree of them
+    (a dataclass or list, see trees), and its gradient has the same shape;
+    y may be an array, a tree or a scalar. Every leaf is checked under its
+    dotted name, the input's position first ("1.b"). For large leaves,
     max_entries_per_input caps how many coordinates are perturbed (chosen
     by a fixed-seed draw, so the check is deterministic).
     """
-    inputs = [np.asarray(a, dtype=np.float64) for a in inputs]
-    if input_names is None:
-        input_names = [f"arg{i}" for i in range(len(inputs))]
+    # float64 copies, so the caller's arrays stay untouched and a tied tree
+    # like [p, p, p, p] is perturbed one leaf at a time
+    inputs = list(inputs)
+    inputs = tree_unflatten(inputs, {k: np.array(a, dtype=np.float64)
+                                     for k, a in tree_flatten(inputs).items()})
     report = GradCheckReport(op_name=name, tol=float(tol), max_rel_err=np.inf)
 
     y, vjp = fn(*inputs)
+    y = _as_tree(y)
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(np.shape(y))
+    u = tree_unflatten(y, {k: rng.standard_normal(a.shape) for k, a in tree_flatten(y).items()})
+    u_leaves = list(tree_flatten(u).values())
     analytic = vjp(u)
     if len(analytic) != len(inputs):
         report.message = f"vjp returned {len(analytic)} gradients for {len(inputs)} inputs"
         return report
-    for g in analytic:
+    grads = tree_flatten(list(analytic))
+    for g in grads.values():
         if not np.all(np.isfinite(g)):
             report.message = "non-finite analytic gradient"
             return report
 
-    def scalar(args):
-        out = fn(*args)[0]
-        return float(np.sum(u * out))
+    def scalar():
+        out = tree_flatten(_as_tree(fn(*inputs)[0])).values()
+        return sum(float(np.sum(ui * o)) for ui, o in zip(u_leaves, out))
 
     pick = np.random.default_rng(seed + 1)
     worst = 0.0
-    for idx, (x, g, label) in enumerate(zip(inputs, analytic, input_names)):
-        g = np.asarray(g, dtype=np.float64)
+    for label, x in tree_flatten(inputs).items():
+        if label not in grads:
+            report.message = f"no gradient for {label}"
+            return report
+        g = np.asarray(grads[label], dtype=np.float64)
         if g.shape != x.shape:
             report.message = f"gradient shape {g.shape} != input shape {x.shape} for {label}"
             return report
@@ -88,9 +105,9 @@ def grad_check(fn, inputs, tol=1e-5, seed=0, max_entries_per_input=None,
             h = _FD_STEP * max(1.0, abs(flat[j]))
             orig = flat[j]
             flat[j] = orig + h
-            sp = scalar(inputs)
+            sp = scalar()
             flat[j] = orig - h
-            sm = scalar(inputs)
+            sm = scalar()
             flat[j] = orig
             num = (sp - sm) / (2.0 * h)
             if not np.isfinite(num):

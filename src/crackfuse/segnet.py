@@ -8,6 +8,7 @@ closures, mirroring the forward graph exactly.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -53,21 +54,13 @@ class ModelConfig:
                              f"(patch {self.patch_size} with {self.num_stages} stages)")
 
     def to_dict(self):
-        return {
-            "in_channels": self.in_channels, "patch_size": self.patch_size,
-            "embed_dims": list(self.embed_dims), "depths": list(self.depths),
-            "state_dim": self.state_dim, "num_classes": self.num_classes,
-            "decoder_dim": self.decoder_dim,
-        }
+        # tuples as lists, so the dict equals its JSON round trip
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in dataclasses.asdict(self).items()}
 
     @staticmethod
     def from_dict(d):
-        return ModelConfig(
-            in_channels=d["in_channels"], patch_size=d["patch_size"],
-            embed_dims=tuple(d["embed_dims"]), depths=tuple(d["depths"]),
-            state_dim=d["state_dim"], num_classes=d["num_classes"],
-            decoder_dim=d["decoder_dim"],
-        )
+        return ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ starts at zero, making the untrained model exactly the bicubic baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -100,8 +100,8 @@ def _residual_net(m: SrModel, x):
         da1, dw2, db2 = vjp2(dt2)
         dt1 = vr1(da1)[0]
         dx, dw1, db1 = vjp1(dt1)
-        return dx, {"conv1_w": dw1, "conv1_b": db1, "conv2_w": dw2,
-                    "conv2_b": db2, "conv3_w": dw3, "conv3_b": db3}
+        return dx, replace(m, conv1_w=dw1, conv1_b=db1, conv2_w=dw2,
+                           conv2_b=db2, conv3_w=dw3, conv3_b=db3)
 
     return res, vjp
 
@@ -115,7 +115,7 @@ def sr_forward(m: SrModel, low, out_h, out_w):
     def vjp(dy):
         ds = vjp_clamp(dy)[0]
         _dup, dweights = vjp_net(ds)
-        return dweights  # gradient wrt the residual weights only
+        return dweights  # an SrModel holding the residual weights' gradients
 
     return y, vjp
 
@@ -187,7 +187,7 @@ def sr_train_selfsupervised(images, factor, cfg: SrTrainConfig | None = None) ->
         if not math.isfinite(loss) or loss > ceiling:
             raise SrDiverged(
                 f"loss {loss:.3e} exceeded 10x initial {initial:.3e} at step {step}; try a lower lr")
-        grads = vjp(2.0 * diff / diff.size)
+        grads = tree_flatten(vjp(2.0 * diff / diff.size))
         params, opt = adamw_step(params, grads, opt, cfg.lr, weight_decay=cfg.weight_decay)
         model = tree_unflatten(model, params)
     model.initial_loss = initial

@@ -6,6 +6,7 @@ carry a fixed timestamp so save -> load -> save is byte-identical.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -36,19 +37,12 @@ class TrainConfig:
             raise ValueError("base_lr must be positive")
         if not 0 <= self.warmup_iters < self.total_iters:
             raise ValueError("need 0 <= warmup_iters < total_iters")
+        for name in ("batch_size", "eval_interval"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self):
-        return {
-            "total_iters": self.total_iters, "batch_size": self.batch_size,
-            "base_lr": self.base_lr, "weight_decay": self.weight_decay,
-            "warmup_iters": self.warmup_iters, "poly_power": self.poly_power,
-            "seed": self.seed, "eval_interval": self.eval_interval,
-            "checkpoint_dir": self.checkpoint_dir, "grad_clip": self.grad_clip,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return TrainConfig(**d)
+        return dataclasses.asdict(self)
 
 
 def cross_entropy(logits, target):
@@ -85,6 +79,23 @@ class OptimizerState:
     m: dict
     v: dict
     step: int = 0
+
+
+def split_checkpoint(tensors: dict):
+    """Split checkpoint tensors into (weights, OptimizerState at step 0).
+
+    Raises ValueError naming every opt.m.*/opt.v.* entry missing for a weight.
+    """
+    params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
+    opt = OptimizerState(
+        m={k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")},
+        v={k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")},
+    )
+    missing = [f"opt.{moment}.{k}" for moment, stored in (("m", opt.m), ("v", opt.v))
+               for k in params if k not in stored]
+    if missing:
+        raise ValueError(f"checkpoint has no optimizer state for: {', '.join(missing)}")
+    return params, opt
 
 
 def init_optimizer(params: dict) -> OptimizerState:
@@ -249,12 +260,8 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
         check_format(manifest, CHECKPOINT_FORMAT)
         check_resume(manifest, model.cfg.to_dict(), cfg.to_dict())
         start = int(manifest["iteration"])
-        params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
-        opt = OptimizerState(
-            m={k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")},
-            v={k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")},
-            step=start,
-        )
+        params, opt = split_checkpoint(tensors)
+        opt.step = start
         result.best_miou = float(manifest.get("best_miou", -1.0))
     model.weights = segnet.unflatten_weights(model, params)
 

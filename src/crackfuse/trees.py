@@ -34,6 +34,8 @@ def tree_flatten(tree, prefix="") -> dict:
 def tree_unflatten(template, flat: dict, prefix=""):
     """Rebuild a tree shaped like template, pulling leaf arrays from flat."""
     if isinstance(template, np.ndarray):
+        if prefix not in flat:
+            raise ValueError(f"{prefix}: missing from the stored arrays")
         arr = flat[prefix]
         if arr.shape != template.shape:
             raise ValueError(f"{prefix}: stored shape {arr.shape} != expected {template.shape}")

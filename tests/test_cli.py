@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from crackfuse import cli, data
+from crackfuse import cli, data, train
 from crackfuse.tensor import load_tensor
 
 
@@ -189,6 +189,34 @@ def test_train_resume_refuses_changed_schedule(dataset, tmp_path, capsys):
     assert run_cli("train", "--config", str(cfg),
                    "--resume", str(tmp_path / "ck" / "last.ckpt")) == 2
     assert "total_iters" in capsys.readouterr().err
+
+
+def _without_entry(src, dst, name, **manifest_changes):
+    tensors, manifest = train.load_checkpoint(src)
+    del tensors[name]
+    train.save_checkpoint(dst, tensors, {**manifest, **manifest_changes})
+    return dst
+
+
+def test_train_resume_names_missing_optimizer_entry(dataset, tmp_path, capsys):
+    cfg = _run_config(dataset, tmp_path)
+    assert run_cli("train", "--config", str(cfg)) == 0
+    # as if written at the mid-run evaluation, then damaged
+    ckpt = _without_entry(tmp_path / "ck" / "last.ckpt", tmp_path / "mid.ckpt",
+                          "opt.v.decoder.classifier.b", iteration=2)
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(cfg), "--resume", str(ckpt)) == 2
+    assert "opt.v.decoder.classifier.b" in capsys.readouterr().err
+
+
+def test_eval_names_missing_weight(dataset, tmp_path, capsys):
+    assert run_cli("train", "--config", str(_run_config(dataset, tmp_path))) == 0
+    ckpt = _without_entry(tmp_path / "ck" / "last.ckpt", tmp_path / "bad.ckpt",
+                          "decoder.fuse.w")
+    capsys.readouterr()
+    assert run_cli("eval", "--data", str(dataset), "--variant", "P_RGB",
+                   "--checkpoint", str(ckpt)) == 2
+    assert "decoder.fuse.w: missing" in capsys.readouterr().err
 
 
 def test_eval_fused_variant_requires_sr_checkpoint(dataset, capsys):

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from crackfuse import ops
+from crackfuse import ops, segnet
 from crackfuse.gradcheck import grad_check
 
 
@@ -254,6 +256,23 @@ def test_grad_check_catches_wrong_vjp():
 
     rep = grad_check(bad_op, [np.random.default_rng(0).standard_normal(5)], tol=1e-5)
     assert not rep.passed
+
+    # in a weight tree, the report blames the one leaf whose gradient is wrong
+    def bad_downsample(x, w):
+        y, vjp = segnet.downsample(x, w)
+
+        def bad_vjp(dy):
+            dx, dw = vjp(dy)
+            return dx, replace(dw, b=2.0 * dw.b)
+
+        return y, bad_vjp
+
+    rng = np.random.default_rng(1)
+    w = segnet.DownsampleWeights(w=rng.standard_normal((8, 4)), b=rng.standard_normal(4))
+    rep = grad_check(bad_downsample, [rng.standard_normal((4, 4, 2)), w], tol=1e-5)
+    assert not rep.passed
+    assert [c.name for c in rep.inputs if c.max_rel_err > rep.tol] == ["1.b"]
+    assert [c.name for c in rep.inputs] == ["0", "1.w", "1.b"]
 
 
 def test_grad_check_reports_nonfinite():

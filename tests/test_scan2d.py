@@ -3,6 +3,7 @@ import pytest
 
 from crackfuse import scan2d, ssm
 from crackfuse.gradcheck import grad_check
+from crackfuse.trees import tree_flatten
 
 
 def test_orders_2x2():
@@ -118,36 +119,12 @@ def test_ss2d_batched_matches_loop():
         np.testing.assert_allclose(yb[b], y1, rtol=1e-12, atol=1e-14)
 
 
-FIELDS = ("a_log", "skip", "dt_w", "dt_b", "b_w", "c_w")
-
-
-def _ss2d_gradcheck(x, ps, name="ss2d"):
-    arrays = [x]
-    for p in ps:
-        arrays.extend(getattr(p, f) for f in FIELDS)
-
-    def fn(xx, *arrs):
-        rebuilt = [ssm.SsmParams(**dict(zip(FIELDS, arrs[i * 6:(i + 1) * 6]))) for i in range(4)]
-        y, vjp = scan2d.ss2d(xx, rebuilt)
-
-        def vjp_list(dy):
-            dx, dps = vjp(dy)
-            out = [dx]
-            for dp in dps:
-                out.extend(getattr(dp, f) for f in FIELDS)
-            return tuple(out)
-
-        return y, vjp_list
-
-    return grad_check(fn, arrays, tol=1e-4, name=name)
-
-
 def test_ss2d_gradcheck():
     c, n = 2, 2
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3, 3, c)) * 0.5
     ps = [ssm.init_ssm_params(c, n, np.random.default_rng(20 + i)) for i in range(4)]
-    rep = _ss2d_gradcheck(x, ps)
+    rep = grad_check(scan2d.ss2d, [x, ps], tol=1e-4, name="ss2d")
     assert rep.passed, str(rep)
 
 
@@ -171,12 +148,10 @@ def _assert_matches_oracle(x, ps, parallel, tol=1e-12):
     dx, dps = vjp(dy)
     y_o, dx_o, dps_o = _per_direction_oracle(x, ps, dy)
     assert _rel(y, y_o) <= tol and _rel(dx, dx_o) <= tol
-    checked = 0
-    for dp, dp_o in zip(dps, dps_o):
-        for f in FIELDS:
-            assert _rel(getattr(dp, f), getattr(dp_o, f)) <= tol, f
-            checked += 1
-    assert checked == 24
+    got, want = tree_flatten(dps), tree_flatten(dps_o)
+    assert list(got) == list(want) and len(got) == 24
+    for name in got:
+        assert _rel(got[name], want[name]) <= tol, name
 
 
 @pytest.mark.parametrize("parallel", [False, True])
@@ -231,7 +206,7 @@ def test_ss2d_series_branch(small_channels, mask):
     y, _ = scan2d.ss2d(x, ps)
     y_o, _, _ = _per_direction_oracle(x, ps, np.zeros_like(x))
     assert _rel(y, y_o) <= 1e-12
-    rep = _ss2d_gradcheck(x[0], ps, name=f"ss2d series {mask}")
+    rep = grad_check(scan2d.ss2d, [x[0], ps], tol=1e-4, name=f"ss2d series {mask}")
     assert rep.passed, str(rep)
     if small_channels:
         # the a_log gradient of a series channel is ~1e-10, below grad_check's

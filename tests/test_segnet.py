@@ -3,7 +3,7 @@ import pytest
 
 from crackfuse import segnet, train
 from crackfuse.gradcheck import grad_check
-from crackfuse.trees import tree_flatten, tree_unflatten
+from crackfuse.trees import tree_flatten
 
 TOY = segnet.ModelConfig()  # 6ch, patch 3, dims (16,32,64,128), depths (1,1,1,1)
 
@@ -48,17 +48,8 @@ def test_patch_embed_gradcheck():
                              state_dim=2, decoder_dim=4)
     w = segnet.PatchEmbedWeights(w=rng(2).standard_normal((int(2 * 9), 4)) * 0.3, b=np.zeros(4))
     img = rng(3).standard_normal((2, 6, 6))
-
-    def fn(a, ww, bb):
-        y, vjp = segnet.patch_embed(a, segnet.PatchEmbedWeights(w=ww, b=bb), cfg)
-
-        def vjp_list(dy):
-            dx, g = vjp(dy)
-            return dx, g.w, g.b
-
-        return y, vjp_list
-
-    rep = grad_check(fn, [img, w.w, w.b], tol=1e-5, name="patch_embed")
+    rep = grad_check(lambda a, ww: segnet.patch_embed(a, ww, cfg), [img, w], tol=1e-5,
+                     name="patch_embed")
     assert rep.passed, str(rep)
 
 
@@ -83,21 +74,7 @@ def test_block_gate_saturation_is_near_identity():
 def test_block_gradcheck():
     blk = segnet.init_block(4, 2, rng(8))
     x = rng(9).standard_normal((3, 3, 4)) * 0.5
-    names = list(tree_flatten(blk).keys())
-
-    def fn(xx, *arrs):
-        tree = tree_unflatten(blk, dict(zip(names, arrs)))
-        y, vjp = segnet.vss_block(xx, tree)
-
-        def vjp_list(dy):
-            dx, g = vjp(dy)
-            gflat = tree_flatten(g)
-            return (dx, *(gflat[n] for n in names))
-
-        return y, vjp_list
-
-    rep = grad_check(fn, [x, *tree_flatten(blk).values()], tol=1e-4, name="vss_block",
-                     input_names=["x"] + names)
+    rep = grad_check(segnet.vss_block, [x, blk], tol=1e-4, name="vss_block")
     assert rep.passed, str(rep)
 
 
@@ -116,17 +93,7 @@ def test_downsample_shape_and_constant():
 def test_downsample_gradcheck():
     w = segnet.DownsampleWeights(w=rng(12).standard_normal((8, 4)) * 0.3, b=np.zeros(4))
     x = rng(13).standard_normal((4, 4, 2))
-
-    def fn(a, ww, bb):
-        y, vjp = segnet.downsample(a, segnet.DownsampleWeights(w=ww, b=bb))
-
-        def vjp_list(dy):
-            dx, g = vjp(dy)
-            return dx, g.w, g.b
-
-        return y, vjp_list
-
-    rep = grad_check(fn, [x, w.w, w.b], tol=1e-5, name="downsample")
+    rep = grad_check(segnet.downsample, [x, w], tol=1e-5, name="downsample")
     assert rep.passed, str(rep)
 
 
@@ -166,31 +133,9 @@ def test_encoder_zeroed_blocks_equal_embed_downsample_chain():
 def test_encoder_end_to_end_gradcheck_sampled():
     model = segnet.init_model(TINY, rng(20))
     img = rng(21).standard_normal((2, 24, 24)) * 0.4
-    flat = tree_flatten(model.weights.encoder)
-    names = list(flat.keys())
-
-    def fn(a, *arrs):
-        tree = tree_unflatten(model.weights.encoder, dict(zip(names, arrs)))
-        feats, vjp = segnet.encoder_forward(a, tree, TINY)
-        # reduce the four grids to one vector so grad_check sees a single output
-        y = np.concatenate([f.ravel() for f in feats])
-        sizes = [f.size for f in feats]
-        shapes = [f.shape for f in feats]
-
-        def vjp_list(dy):
-            pieces = []
-            off = 0
-            for size, shape in zip(sizes, shapes):
-                pieces.append(dy[off:off + size].reshape(shape))
-                off += size
-            dimg, g = vjp(pieces)
-            gflat = tree_flatten(g)
-            return (dimg, *(gflat[n] for n in names))
-
-        return y, vjp_list
-
-    rep = grad_check(fn, [img, *flat.values()], tol=1e-4, name="encoder",
-                     max_entries_per_input=3, input_names=["image"] + names)
+    rep = grad_check(lambda a, enc: segnet.encoder_forward(a, enc, TINY),
+                     [img, model.weights.encoder], tol=1e-4, name="encoder",
+                     max_entries_per_input=3)
     assert rep.passed, str(rep)
 
 
@@ -207,22 +152,8 @@ def test_decoder_gradcheck_reduced():
     dec = segnet.init_decoder((4, 8), 4, 2, rng(24))
     f0 = rng(25).standard_normal((4, 4, 4)) * 0.5
     f1 = rng(26).standard_normal((2, 2, 8)) * 0.5
-    flat = tree_flatten(dec)
-    names = list(flat.keys())
-
-    def fn(a0, a1, *arrs):
-        tree = tree_unflatten(dec, dict(zip(names, arrs)))
-        y, vjp = segnet.uper_decode([a0, a1], tree, 12, 12)
-
-        def vjp_list(dy):
-            dfeats, g = vjp(dy)
-            gflat = tree_flatten(g)
-            return (dfeats[0], dfeats[1], *(gflat[n] for n in names))
-
-        return y, vjp_list
-
-    rep = grad_check(fn, [f0, f1, *flat.values()], tol=1e-4, name="uper_decode",
-                     max_entries_per_input=24, input_names=["f0", "f1"] + names)
+    rep = grad_check(lambda f, w: segnet.uper_decode(f, w, 12, 12), [[f0, f1], dec],
+                     tol=1e-4, name="uper_decode", max_entries_per_input=24)
     assert rep.passed, str(rep)
 
 

@@ -212,20 +212,7 @@ def _scan_gradcheck(scan_fn, tol):
     L, c, n = 16, 3, 4
     x = rng.standard_normal((L, c)) * 0.5
     p = make_params(c, n, seed=24)
-    arrays = [x, p.a_log, p.skip, p.dt_w, p.dt_b, p.b_w, p.c_w]
-
-    def fn(xx, a_log, skip, dt_w, dt_b, b_w, c_w):
-        pp = ssm.SsmParams(a_log=a_log, skip=skip, dt_w=dt_w, dt_b=dt_b,
-                           b_w=b_w, c_w=c_w)
-        y, vjp = scan_fn(xx, pp)
-
-        def vjp_list(dy):
-            dx, dp = vjp(dy)
-            return (dx, dp.a_log, dp.skip, dp.dt_w, dp.dt_b, dp.b_w, dp.c_w)
-
-        return y, vjp_list
-
-    return grad_check(fn, arrays, tol=tol, name=scan_fn.__name__)
+    return grad_check(scan_fn, [x, p], tol=tol, name=scan_fn.__name__)
 
 
 def test_scan_gradcheck_seq():

@@ -84,6 +84,9 @@ def test_train_config_defaults_and_validation():
         train.TrainConfig(warmup_iters=10, total_iters=10)
     with pytest.raises(ValueError):
         train.TrainConfig(base_lr=0.0)
+    for name in ("batch_size", "eval_interval"):
+        with pytest.raises(ValueError, match=name):
+            train.TrainConfig(**{name: 0})
 
 
 def test_poly_lr_schedule():
