@@ -33,9 +33,9 @@ def suite():
     add("linear", ops.linear,
         [rng.standard_normal((5, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)])
     add("depthwise_conv2d", ops.depthwise_conv2d,
-        [rng.standard_normal((3, 5, 4)), rng.standard_normal((3, 3, 3))])
+        [rng.standard_normal((1, 3, 5, 4)), rng.standard_normal((3, 3, 3))])
     add("conv2d", ops.conv2d,
-        [rng.standard_normal((2, 5, 5)), rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)])
+        [rng.standard_normal((1, 2, 5, 5)), rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)])
     add("resize_bicubic", lambda a: ops.resize_bicubic(a, 9, 7), [rng.standard_normal((2, 5, 4))])
     add("resize_bilinear", lambda a: ops.resize_bilinear(a, 3, 9), [rng.standard_normal((2, 5, 4))])
     add("adaptive_avg_pool2d", lambda a: ops.adaptive_avg_pool2d(a, 3, 3),
@@ -44,32 +44,32 @@ def suite():
     # both scan evaluations on the same 16-step, C=3, N=4 input
     for scan_name in ("selective_scan_seq", "selective_scan_par"):
         rng1 = np.random.default_rng(3)
-        seq = rng1.standard_normal((16, 3)) * 0.5
+        seq = rng1.standard_normal((1, 16, 3)) * 0.5
         add(scan_name, getattr(ssm, scan_name), [seq, ssm.init_ssm_params(3, 4, rng1)])
 
     # ss2d on a 3x3 grid, two channels, independent directions
     rng2 = np.random.default_rng(11)
-    grid = rng2.standard_normal((3, 3, 2)) * 0.5
+    grid = rng2.standard_normal((1, 3, 3, 2)) * 0.5
     add("ss2d", scan2d.ss2d, [grid, [ssm.init_ssm_params(2, 2, rng2) for _ in range(4)]])
 
     # full residual block on a 3x3 grid, C=4
     rng3 = np.random.default_rng(13)
-    bx = rng3.standard_normal((3, 3, 4)) * 0.5
+    bx = rng3.standard_normal((1, 3, 3, 4)) * 0.5
     add("vss_block", segnet.vss_block, [bx, segnet.init_block(4, 2, rng3)])
 
     # patch embed and downsample
     rng4 = np.random.default_rng(17)
     cfg = segnet.ModelConfig(in_channels=2, patch_size=3, embed_dims=(4, 8), depths=(1, 1),
                              state_dim=2, num_classes=2, decoder_dim=4)
-    img = rng4.standard_normal((2, 6, 6))
+    img = rng4.standard_normal((1, 2, 6, 6))
     emb = segnet.PatchEmbedWeights(w=rng4.standard_normal((2 * 9, 4)) * 0.2, b=np.zeros(4))
     add("patch_embed", lambda a, w: segnet.patch_embed(a, w, cfg), [img, emb])
     dw = segnet.DownsampleWeights(w=rng4.standard_normal((16, 8)) * 0.2, b=np.zeros(8))
-    add("downsample", segnet.downsample, [rng4.standard_normal((4, 4, 4)), dw])
+    add("downsample", segnet.downsample, [rng4.standard_normal((1, 4, 4, 4)), dw])
 
     # decoder on a reduced two-level config
     rng5 = np.random.default_rng(19)
-    feats = [rng5.standard_normal((4, 4, 4)) * 0.5, rng5.standard_normal((2, 2, 8)) * 0.5]
+    feats = [rng5.standard_normal((1, 4, 4, 4)) * 0.5, rng5.standard_normal((1, 2, 2, 8)) * 0.5]
     dec = segnet.init_decoder((4, 8), 4, 2, rng5)
     add("uper_decode", lambda f, w: segnet.uper_decode(f, w, 12, 12), [feats, dec],
         max_entries=40)

@@ -234,19 +234,19 @@ def cmd_eval(args):
     sr_model = _load_sr(args.sr_checkpoint) if args.sr_checkpoint else None
     if variant == "PRGB_plus_PIRprime" and sr_model is None:
         raise UsageError("variant PRGB_plus_PIRprime requires --sr-checkpoint")
-    model_doc, weights = {}, None
+    model_doc, tensors = {}, None
     if args.checkpoint:
         tensors, ck_manifest = train.load_checkpoint(args.checkpoint)
         train.check_format(ck_manifest, train.CHECKPOINT_FORMAT)
         model_doc = ck_manifest["model_config"]
-        weights, _opt = train.split_checkpoint(tensors)
     doc = validate_run_config({
         "data_root": args.data, "variant": variant, "patch": args.patch, "model": model_doc,
         "train": {"batch_size": args.batch_size, "seed": args.seed},
     })
     cfg, tcfg, source = _make_sources(doc, manifest, samples, sr_model=sr_model)
     model = segnet.init_model(cfg, data.named_rng(tcfg.seed, "init"))
-    if weights is not None:
+    if tensors is not None:
+        weights, _opt = train.split_checkpoint(tensors, segnet.flatten_weights(model))
         model.weights = segnet.unflatten_weights(model, weights)
     report = train.evaluate_model(model, source("val").eval_batches())
     print(json.dumps(report, sort_keys=True, indent=1))
@@ -265,8 +265,6 @@ def cmd_ablate(args):
     for variant in data.VARIANTS:
         doc = validate_run_config({
             "data_root": args.data, "variant": variant, "patch": args.patch,
-            "model": {"embed_dims": [16, 32, 64, 128], "depths": [1, 1, 1, 1],
-                      "state_dim": 4, "num_classes": 2, "decoder_dim": 32, "patch_size": 3},
             "train": {"total_iters": args.iters, "batch_size": args.batch_size,
                       "base_lr": args.lr, "warmup_iters": min(50, args.iters - 1),
                       "seed": args.seed, "eval_interval": args.iters,

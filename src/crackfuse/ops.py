@@ -5,8 +5,9 @@ an upstream cotangent of the output's shape to gradients for each
 differentiable input, in argument order. There is no tape: composite layers
 chain these closures by hand in reverse order.
 
-Layout conventions: feature axes last for pointwise/affine ops, images as
-``[C, H, W]`` with an optional leading batch axis for spatial ops.
+Layout conventions: feature axes last for pointwise/affine ops; the convs
+take image batches ``[B, C, H, W]`` only, and the resamplers act on the last
+two axes of any array.
 """
 from __future__ import annotations
 
@@ -126,48 +127,36 @@ def linear(x, w, b):
     return y, vjp
 
 
-def _lift_chw(x):
-    """Accept [C,H,W] or [B,C,H,W]; return 4-d view and a flag to squeeze back."""
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ValueError(f"expected a [C,H,W] or [B,C,H,W] array, got shape {x.shape}")
-
-
 def depthwise_conv2d(x, k):
     """Per-channel 2d convolution, odd kernel, zero same-padding.
 
-    x: [C,H,W] or [B,C,H,W]; k: [C,kh,kw]. Channel i of the output depends
-    only on channel i of the input.
+    x: [B,C,H,W]; k: [C,kh,kw]. Channel i of the output depends only on
+    channel i of the input.
     """
-    x4, squeeze = _lift_chw(x)
     c, kh, kw = k.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"depthwise_conv2d: kernel extents must be odd, got {kh}x{kw}")
-    if x4.shape[1] != c:
-        raise ValueError(f"depthwise_conv2d: {x4.shape[1]} channels vs kernel {c}")
-    b, _, h, w = x4.shape
+    if x.shape[1] != c:
+        raise ValueError(f"depthwise_conv2d: {x.shape[1]} channels vs kernel {c}")
+    b, _, h, w = x.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    y = np.zeros_like(x4)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    y = np.zeros_like(x)
     for u in range(kh):
         for v in range(kw):
             y += k[:, u, v][None, :, None, None] * xp[:, :, u : u + h, v : v + w]
 
     def vjp(dy):
-        dy4 = dy[None] if squeeze else dy
         dk = np.empty_like(k)
         dxp = np.zeros_like(xp)
         for u in range(kh):
             for v in range(kw):
                 patch = xp[:, :, u : u + h, v : v + w]
-                dk[:, u, v] = np.einsum("bchw,bchw->c", dy4, patch)
-                dxp[:, :, u : u + h, v : v + w] += k[:, u, v][None, :, None, None] * dy4
-        dx = dxp[:, :, ph : ph + h, pw : pw + w]
-        return (dx[0] if squeeze else dx, dk)
+                dk[:, u, v] = np.einsum("bchw,bchw->c", dy, patch)
+                dxp[:, :, u : u + h, v : v + w] += k[:, u, v][None, :, None, None] * dy
+        return dxp[:, :, ph : ph + h, pw : pw + w], dk
 
-    return (y[0] if squeeze else y), vjp
+    return y, vjp
 
 
 # Bytes of one row block's accumulator in conv2d: small enough that it and
@@ -179,7 +168,7 @@ _CONV_BLOCK_BYTES = 1 << 19
 def conv2d(x, w, b):
     """Dense 2d convolution, odd kernel, zero same-padding.
 
-    x: [Cin,H,W] or [B,Cin,H,W]; w: [Cout,Cin,kh,kw]; b: [Cout].
+    x: [B,Cin,H,W]; w: [Cout,Cin,kh,kw]; b: [Cout].
 
     Evaluated as one GEMM per kernel tap on shifted slices of the padded
     input, with no window copies. Each padded image (Hp x Wp) is viewed as
@@ -194,17 +183,16 @@ def conv2d(x, w, b):
     columns of the upstream: per tap, dw += dy @ slice.T and
     dx[slice] += w.T @ dy. Memory stays O(image).
     """
-    x4, squeeze = _lift_chw(x)
     co, ci, kh, kw = w.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
-    if x4.shape[1] != ci:
-        raise ValueError(f"conv2d: input has {x4.shape[1]} channels, weight expects {ci}")
-    bsz, _, h, wd = x4.shape
+    if x.shape[1] != ci:
+        raise ValueError(f"conv2d: input has {x.shape[1]} channels, weight expects {ci}")
+    bsz, _, h, wd = x.shape
     ph, pw = kh // 2, kw // 2
     hp, wp = h + 2 * ph + (pw > 0), wd + 2 * pw
     xp = np.zeros((bsz, ci, hp, wp))
-    xp[:, :, ph : ph + h, pw : pw + wd] = x4
+    xp[:, :, ph : ph + h, pw : pw + wd] = x
     xf = xp.reshape(bsz, ci, hp * wp)
     # [kh, kw, Cout, Cin]: each tap's matrix is contiguous, so BLAS takes it as is
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
@@ -226,23 +214,22 @@ def conv2d(x, w, b):
                out=y[:, :, i : i + r])
 
     def vjp(dy):
-        dy4 = dy[None] if squeeze else dy
-        db = dy4.sum(axis=(0, 2, 3))
+        db = dy.sum(axis=(0, 2, 3))
         dwt = np.zeros_like(wt)
         dxf = np.zeros_like(xf)
         dyb = np.zeros((bsz, co, rows, wp))  # the wrap columns stay zero
         tmp = np.empty((bsz, ci, rows * wp))
         for i, r in blocks:
             s, m = i * wp, r * wp
-            dyb[:, :, :r, :wd] = dy4[:, :, i : i + r]
+            dyb[:, :, :r, :wd] = dy[:, :, i : i + r]
             g, t = dyb.reshape(bsz, co, rows * wp)[:, :, :m], tmp[:, :, :m]
             for u, v, off in taps:
                 dwt[u, v] += (g @ xf[:, :, s + off : s + off + m].transpose(0, 2, 1)).sum(axis=0)
                 dxf[:, :, s + off : s + off + m] += np.matmul(wt[u, v].T, g, out=t)
         dx = dxf.reshape(bsz, ci, hp, wp)[:, :, ph : ph + h, pw : pw + wd]
-        return (dx[0] if squeeze else dx, dwt.transpose(2, 3, 0, 1).copy(), db)
+        return dx, dwt.transpose(2, 3, 0, 1).copy(), db
 
-    return (y[0] if squeeze else y), vjp
+    return y, vjp
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Four-direction serialization of a patch grid and the 2d selective scan.
 
-A [H, W, C] token grid is flattened along four traversal orders (left to
-right, top to bottom, right to left, bottom to top), the four sequences run
-through their own selective-scan weights as one stacked batch, and the
-results are scattered back onto the grid and summed. Summation order is
-fixed (LR, TB, RL, BT) so the merge is deterministic.
+A batch of [H, W, C] token grids, [B, H, W, C], is flattened along four
+traversal orders (left to right, top to bottom, right to left, bottom to
+top), the four sequences run through their own selective-scan weights as
+one stacked batch, and the results are scattered back onto the grid and
+summed. Summation order is fixed (LR, TB, RL, BT) so the merge is
+deterministic.
 """
 from __future__ import annotations
 
@@ -52,46 +53,31 @@ def _indices(height, width):
     return np.stack([o.perm for o in orders]), np.stack([o.inv for o in orders])
 
 
-def _grid(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ValueError(f"expected [H,W,C] or [B,H,W,C], got shape {x.shape}")
-
-
 def cross_scan(x):
-    """Flatten a [H,W,C] (or [B,H,W,C]) grid into the four direction
-    sequences, stacked as [4, L, C] (or [4, B, L, C])."""
-    x4, squeeze = _grid(x)
-    b, h, w, c = x4.shape
+    """Flatten a [B, H, W, C] grid into the four direction sequences,
+    stacked as [4, B, L, C] with L = H*W, in DIRECTIONS order."""
+    b, h, w, c = x.shape
     perm, _ = _indices(h, w)
-    seqs = np.moveaxis(x4.reshape(b, h * w, c)[:, perm], 1, 0)
-    return seqs[:, 0] if squeeze else seqs
+    return np.moveaxis(x.reshape(b, h * w, c)[:, perm], 1, 0)
 
 
-def cross_merge(y_lr, y_tb, y_rl, y_bt, height, width):
-    """Un-permute each directional sequence onto the grid and sum."""
-    seqs = [np.asarray(s, dtype=np.float64) for s in (y_lr, y_tb, y_rl, y_bt)]
-    squeeze = seqs[0].ndim == 2
-    seqs = [s[None] if s.ndim == 2 else s for s in seqs]
-    n = height * width
-    for s, d in zip(seqs, DIRECTIONS):
-        if s.shape[1] != n:
-            raise ValueError(f"direction {d}: sequence length {s.shape[1]} != {height}x{width}")
-    b, _, c = seqs[0].shape
+def cross_merge(ys, height, width):
+    """Inverse layout of cross_scan: un-permute each direction of the stacked
+    ys [4, B, L, C] onto the [B, height, width, C] grid and sum them, always
+    in the order LR, TB, RL, BT."""
+    _, b, n, c = ys.shape
+    if n != height * width:
+        raise ValueError(f"sequence length {n} != {height}x{width}")
     _, inv = _indices(height, width)
-    out = seqs[0][:, inv[0]]
-    for s, idx in zip(seqs[1:], inv[1:]):
+    out = ys[0][:, inv[0]]
+    for s, idx in zip(ys[1:], inv[1:]):
         out += s[:, idx]
-    out = out.reshape(b, height, width, c)
-    return out[0] if squeeze else out
+    return out.reshape(b, height, width, c)
 
 
 def ss2d(x, params, parallel=False):
     """Cross-scan, selective scan of the four directions as one stacked
-    batch, cross-merge. Returns (y, vjp).
+    batch, cross-merge. x: [B, H, W, C]. Returns (y [B, H, W, C], vjp).
 
     params is a sequence of four SsmParams ordered LR, TB, RL, BT; passing the
     same object four times ties the directions (used by symmetry tests).
@@ -100,14 +86,12 @@ def ss2d(x, params, parallel=False):
     """
     if len(params) != len(DIRECTIONS):
         raise ValueError(f"need {len(DIRECTIONS)} parameter sets, got {len(params)}")
-    x4, squeeze = _grid(x)
-    h, w = x4.shape[1:3]
-    ys, vjp_scan = ssm._selective_scan(cross_scan(x4), params, parallel)
-    y = cross_merge(*ys, h, w)
+    h, w = x.shape[1:3]
+    ys, vjp_scan = ssm._selective_scan(cross_scan(x), params, parallel)
+    y = cross_merge(ys, h, w)
 
     def vjp(dy):
-        dxs, dps = vjp_scan(cross_scan(_grid(dy)[0]))
-        dx = cross_merge(*dxs, h, w)
-        return (dx[0] if squeeze else dx), dps
+        dxs, dps = vjp_scan(cross_scan(dy))
+        return cross_merge(dxs, h, w), dps
 
-    return (y[0] if squeeze else y), vjp
+    return y, vjp

@@ -1,8 +1,11 @@
 """Segmentation network: patch embedding, gated scan blocks, a downsampling
 encoder, and a pyramid-pooling / top-down decoder producing per-pixel logits.
 
-Grids flow channels-last ([B, H, W, C]); the decoder works channels-first
-([B, C, h, w]) because it is convolutional. Every composite returns
+Every layer takes a batch: images are [B, C, H, W], token grids flow
+channels-last ([B, H, W, C]), and the decoder works channels-first
+([B, C, h, w]) because it is convolutional. model_forward is the one entry
+point that checks the layout and casts its input to float64; the layers
+behind it take float64 batches as they are. Every composite returns
 (output, vjp) with the backward pass composed by hand from the primitives'
 closures, mirroring the forward graph exactly.
 """
@@ -196,42 +199,31 @@ def parameter_count(model: SegModel) -> int:
 # Forward / backward pieces
 
 
-def _lift_grid(x):
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ValueError(f"expected [H,W,C] or [B,H,W,C], got {x.shape}")
-
-
 def patch_embed(image, w: PatchEmbedWeights, cfg: ModelConfig):
-    """Non-overlapping ps x ps patches, flattened and linearly projected."""
-    img = image[None] if image.ndim == 3 else image
-    b, c, h, wd = img.shape
+    """Non-overlapping ps x ps patches of [B, C, H, W] images, flattened and
+    linearly projected to a [B, H/ps, W/ps, C0] token grid."""
+    b, c, h, wd = image.shape
     ps = cfg.patch_size
     if h % ps or wd % ps:
         raise ValueError(f"image {h}x{wd} not divisible by patch size {ps}")
     gh, gw = h // ps, wd // ps
-    patches = img.reshape(b, c, gh, ps, gw, ps).transpose(0, 2, 4, 1, 3, 5).reshape(b, gh, gw, c * ps * ps)
+    patches = image.reshape(b, c, gh, ps, gw, ps).transpose(0, 2, 4, 1, 3, 5).reshape(b, gh, gw, c * ps * ps)
     tokens, vjp_lin = linear(patches, w.w, w.b)
 
     def vjp(dtok):
-        dtok = dtok[None] if image.ndim == 3 else dtok
         dpatches, dw, db = vjp_lin(dtok)
         dimg = dpatches.reshape(b, gh, gw, c, ps, ps).transpose(0, 3, 1, 4, 2, 5).reshape(b, c, h, wd)
-        if image.ndim == 3:
-            dimg = dimg[0]
         return dimg, PatchEmbedWeights(w=dw, b=db)
 
-    return (tokens[0] if image.ndim == 3 else tokens), vjp
+    return tokens, vjp
 
 
 def vss_block(x, w: BlockWeights, parallel=False):
     """Residual gated block: normalized input feeds a gate branch (linear +
     silu) and a main branch (linear, depthwise conv, silu, four-direction
-    scan, norm); branches multiply, project, and add back to the input."""
-    x4, squeeze = _lift_grid(np.asarray(x, dtype=np.float64))
-    n1, vjp_ln1 = layer_norm(x4, w.ln1_gamma, w.ln1_beta)
+    scan, norm); branches multiply, project, and add back to the input.
+    x: [B, H, W, C]."""
+    n1, vjp_ln1 = layer_norm(x, w.ln1_gamma, w.ln1_beta)
     g_pre, vjp_glin = linear(n1, w.gate_w, w.gate_b)
     gate, vjp_gact = silu(g_pre)
     m_pre, vjp_mlin = linear(n1, w.main_w, w.main_b)
@@ -243,12 +235,10 @@ def vss_block(x, w: BlockWeights, parallel=False):
     n2, vjp_ln2 = layer_norm(scanned, w.ln2_gamma, w.ln2_beta)
     prod = n2 * gate
     out, vjp_out = linear(prod, w.out_w, w.out_b)
-    y = x4 + out
+    y = x + out
 
     def vjp(dy):
-        dy4 = np.asarray(dy, dtype=np.float64)
-        dy4 = dy4[None] if squeeze else dy4
-        dprod, dout_w, dout_b = vjp_out(dy4)
+        dprod, dout_w, dout_b = vjp_out(dy)
         dn2 = dprod * gate
         dgate = dprod * n2
         dscanned, dg2, db2 = vjp_ln2(dn2)
@@ -261,51 +251,49 @@ def vss_block(x, w: BlockWeights, parallel=False):
         dg_pre = vjp_gact(dgate)[0]
         dn1_gate, dgate_w, dgate_b = vjp_glin(dg_pre)
         dx, dg1, db1 = vjp_ln1(dn1_main + dn1_gate)
-        dx = dx + dy4
+        dx = dx + dy
         grads = BlockWeights(
             ln1_gamma=dg1, ln1_beta=db1, gate_w=dgate_w, gate_b=dgate_b,
             main_w=dmain_w, main_b=dmain_b, conv_kernel=dkernel,
             scans=dscan_params, ln2_gamma=dg2, ln2_beta=db2,
             out_w=dout_w, out_b=dout_b,
         )
-        return (dx[0] if squeeze else dx), grads
+        return dx, grads
 
-    return (y[0] if squeeze else y), vjp
+    return y, vjp
 
 
 def downsample(x, w: DownsampleWeights):
-    """2x2 patch merging: concatenate the four sub-positions, project 4C -> 2C."""
-    x4, squeeze = _lift_grid(np.asarray(x, dtype=np.float64))
-    b, h, wd, c = x4.shape
+    """2x2 patch merging of a [B, H, W, C] grid: concatenate the four
+    sub-positions, project 4C -> 2C."""
+    b, h, wd, c = x.shape
     if h % 2 or wd % 2:
         raise ValueError(f"downsample needs even extents, got {h}x{wd}")
-    parts = np.concatenate([x4[:, 0::2, 0::2], x4[:, 1::2, 0::2],
-                            x4[:, 0::2, 1::2], x4[:, 1::2, 1::2]], axis=-1)
+    parts = np.concatenate([x[:, 0::2, 0::2], x[:, 1::2, 0::2],
+                            x[:, 0::2, 1::2], x[:, 1::2, 1::2]], axis=-1)
     y, vjp_lin = linear(parts, w.w, w.b)
 
     def vjp(dy):
-        dy4 = dy[None] if squeeze else dy
-        dparts, dw, db = vjp_lin(dy4)
-        dx = np.zeros_like(x4)
+        dparts, dw, db = vjp_lin(dy)
+        dx = np.zeros_like(x)
         dx[:, 0::2, 0::2] = dparts[..., 0 * c:1 * c]
         dx[:, 1::2, 0::2] = dparts[..., 1 * c:2 * c]
         dx[:, 0::2, 1::2] = dparts[..., 2 * c:3 * c]
         dx[:, 1::2, 1::2] = dparts[..., 3 * c:4 * c]
-        return (dx[0] if squeeze else dx), DownsampleWeights(w=dw, b=db)
+        return dx, DownsampleWeights(w=dw, b=db)
 
-    return (y[0] if squeeze else y), vjp
+    return y, vjp
 
 
 def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False):
-    """Embed then run each stage's blocks, downsampling between stages.
+    """Embed [B, C, H, W] images, then run each stage's blocks, downsampling
+    between stages.
 
-    Returns the per-stage feature grids (channels-last) and a vjp mapping
-    per-stage upstream grads to (dimage, EncoderWeights grads).
+    Returns the per-stage feature grids ([B, h, w, C_i], channels-last) and
+    a vjp mapping per-stage upstream grads to (dimage, EncoderWeights grads).
     """
-    img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape[-2:]
-    cfg.check_input(h, w)
-    tokens, vjp_embed = patch_embed(img, enc.embed, cfg)
+    cfg.check_input(*image.shape[2:])
+    tokens, vjp_embed = patch_embed(image, enc.embed, cfg)
     feats = []
     block_vjps = []
     down_vjps = []
@@ -329,7 +317,7 @@ def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False
         carry = None
         for i in range(len(enc.stages) - 1, -1, -1):
             if carry is None:
-                dt = np.asarray(dfeats[i], dtype=np.float64)
+                dt = dfeats[i]
             else:
                 din, ddowns[i] = down_vjps[i](carry)
                 dt = din + dfeats[i]
@@ -357,23 +345,17 @@ def _conv_relu(x, cw: ConvWeights):
     return y, vjp
 
 
-def uper_decode(features, w: DecoderWeights, out_h, out_w, num_classes=None):
+def uper_decode(features, w: DecoderWeights, out_h, out_w):
     """Pyramid pooling on the deepest grid, top-down lateral fusion, all-level
-    concat + fuse, then per-class logits upsampled to (out_h, out_w).
+    concat + fuse, then per-class logits [B, K, out_h, out_w].
 
-    features are channels-last grids ordered shallow to deep; any count >= 2
-    is accepted (the reduced gradient-check config uses two).
+    features are [B, h, w, C] channels-last grids ordered shallow to deep;
+    any count >= 2 is accepted (the reduced gradient-check config uses two).
     """
     if len(features) < 2:
         raise ValueError("decoder expects at least two feature levels")
-    if num_classes is not None and w.classifier.w.shape[0] != num_classes:
-        raise ValueError(f"classifier produces {w.classifier.w.shape[0]} classes, expected {num_classes}")
     n = len(features)
-    f4 = []
-    squeeze = features[0].ndim == 3
-    for x in features:
-        x4, _ = _lift_grid(np.asarray(x, dtype=np.float64))
-        f4.append(x4.transpose(0, 3, 1, 2))  # [B,C,h,w]
+    f4 = [x.transpose(0, 3, 1, 2) for x in features]  # [B,C,h,w]
     sizes = [f.shape[-2:] for f in f4]
     deep = f4[-1]
     h_deep, w_deep = sizes[-1]
@@ -419,9 +401,7 @@ def uper_decode(features, w: DecoderWeights, out_h, out_w, num_classes=None):
     fdim = w.fuse.w.shape[1] // n
 
     def vjp(dlogits):
-        dl = np.asarray(dlogits, dtype=np.float64)
-        dl = dl[None] if squeeze else dl
-        dgrid = vjp_out(dl)[0]
+        dgrid = vjp_out(dlogits)[0]
         dfused, dcls_w, dcls_b = vjp_cls(dgrid)
         dcat_all, dfuse = vjp_fuse(dfused)
         dlevels = [None] * n
@@ -458,24 +438,27 @@ def uper_decode(features, w: DecoderWeights, out_h, out_w, num_classes=None):
             ppm_convs=dppm_convs, ppm_fuse=dppm_fuse, laterals=dlats,
             smooths=dsmooths, fuse=dfuse, classifier=ConvWeights(w=dcls_w, b=dcls_b),
         )
-        dfeats_out = [d.transpose(0, 2, 3, 1) for d in dfeat]
-        if squeeze:
-            dfeats_out = [d[0] for d in dfeats_out]
-        return dfeats_out, dgrads
+        return [d.transpose(0, 2, 3, 1) for d in dfeat], dgrads
 
-    return (logits[0] if squeeze else logits), vjp
+    return logits, vjp
 
 
 def model_forward(image, model: SegModel, parallel=False):
-    """Full network: [C_in, H, W] (or batched) -> [num_classes, H, W] logits."""
+    """Full network: [B, C_in, H, W] images -> [B, num_classes, H, W] logits.
+
+    The one entry point to the Stage-2 layers: it casts the images to float64
+    and refuses any other layout, so the layers behind it take float64
+    batches as they are. Returns (logits, vjp) with vjp(dlogits) ->
+    (dimage, ModelWeights gradient).
+    """
     img = np.asarray(image, dtype=np.float64)
-    cin = img.shape[-3]
+    if img.ndim != 4:
+        raise ValueError(f"model_forward expects a [B, C, H, W] batch of images, got shape {img.shape}")
+    _, cin, h, w = img.shape
     if cin != model.cfg.in_channels:
         raise ValueError(f"channel mismatch: expected {model.cfg.in_channels} input channels, got {cin}")
-    h, w = img.shape[-2:]
     feats, vjp_enc = encoder_forward(img, model.weights.encoder, model.cfg, parallel=parallel)
-    logits, vjp_dec = uper_decode(feats, model.weights.decoder, h, w,
-                                  num_classes=model.cfg.num_classes)
+    logits, vjp_dec = uper_decode(feats, model.weights.decoder, h, w)
 
     def vjp(dlogits):
         dfeats, ddec = vjp_dec(dlogits)

@@ -47,10 +47,8 @@ class SrModel:
 class SrTrainConfig:
     iters: int = 300
     lr: float = 2e-3
-    weight_decay: float = 0.0
     seed: int = 0
     hidden: int = 32
-    crop: int | None = None  # optional training crop on the target grid
 
 
 class SrDiverged(RuntimeError):
@@ -107,14 +105,15 @@ def _residual_net(m: SrModel, x):
 
 
 def sr_forward(m: SrModel, low, out_h, out_w):
-    """Bicubic upsample plus predicted residual, clamped to [0, 1]."""
+    """Bicubic upsample of one [3, h, w] image plus predicted residual,
+    clamped to [0, 1]; the residual net runs it as a batch of one."""
     up = resize_bicubic(np.asarray(low, dtype=np.float64), out_h, out_w)[0]
-    res, vjp_net = _residual_net(m, up)
-    y, vjp_clamp = clamp01(up + res)
+    res, vjp_net = _residual_net(m, up[None])
+    y, vjp_clamp = clamp01(up + res[0])
 
     def vjp(dy):
         ds = vjp_clamp(dy)[0]
-        _dup, dweights = vjp_net(ds)
+        _dup, dweights = vjp_net(ds[None])
         return dweights  # an SrModel holding the residual weights' gradients
 
     return y, vjp
@@ -143,8 +142,7 @@ def corpus_loss(model: SrModel, images, factor) -> float:
 def sr_train_selfsupervised(images, factor, cfg: SrTrainConfig | None = None) -> SrModel:
     """Train the residual net on (degraded, original) pairs with MSE loss.
 
-    Each step picks one image round-robin, optionally crops the target at a
-    size where the rational factor is exact, degrades, reconstructs, and
+    Each step picks one image round-robin, degrades it, reconstructs, and
     regresses. Recorded initial/final losses are corpus-level MSEs (per-step
     losses are not comparable across images). Raises SrDiverged if a step
     loss exceeds 10x the initial loss.
@@ -160,27 +158,13 @@ def sr_train_selfsupervised(images, factor, cfg: SrTrainConfig | None = None) ->
     params = tree_flatten(model)
     opt = init_optimizer(params)
 
-    def training_pair(step):
-        img = np.asarray(images[step % len(images)], dtype=np.float64)
-        h, w = img.shape[-2:]
-        if cfg.crop is not None:
-            # crop a multiple of the factor numerator so degrade lands on an exact grid
-            c = min(cfg.crop, h, w)
-            c -= c % f.numerator
-            if c >= max(8 * f.numerator // f.denominator, f.numerator):
-                i = rng.integers(0, h - c + 1)
-                j = rng.integers(0, w - c + 1)
-                img = img[:, i:i + c, j:j + c]
-        target = img
-        low = degrade(img, f) if f > 1 else img
-        return low, target
-
     initial = corpus_loss(model, images, f)
     # the zero-init start can sit near the loss floor already, so the
     # 10x-initial divergence trigger carries an absolute MSE floor
     ceiling = 10.0 * max(initial, 1e-4)
     for step in range(cfg.iters):
-        low, target = training_pair(step)
+        target = np.asarray(images[step % len(images)], dtype=np.float64)
+        low = degrade(target, f) if f > 1 else target
         pred, vjp = sr_forward(model, low, target.shape[-2], target.shape[-1])
         diff = pred - target
         loss = float(np.mean(diff * diff))
@@ -188,7 +172,7 @@ def sr_train_selfsupervised(images, factor, cfg: SrTrainConfig | None = None) ->
             raise SrDiverged(
                 f"loss {loss:.3e} exceeded 10x initial {initial:.3e} at step {step}; try a lower lr")
         grads = tree_flatten(vjp(2.0 * diff / diff.size))
-        params, opt = adamw_step(params, grads, opt, cfg.lr, weight_decay=cfg.weight_decay)
+        params, opt = adamw_step(params, grads, opt, cfg.lr, weight_decay=0.0)
         model = tree_unflatten(model, params)
     model.initial_loss = initial
     model.final_loss = corpus_loss(model, images, f)

@@ -201,7 +201,6 @@ def _selective_scan(x, params, parallel: bool):
     The [.., C, N] work runs step-major, [L, K, B, C, N], so each recurrence
     step is one contiguous slice across all K layers and the batch.
     """
-    x = np.asarray(x, dtype=np.float64)
     K, B, L, C = x.shape
     for p in params:
         if C != p.channels:
@@ -230,7 +229,7 @@ def _selective_scan(x, params, parallel: bool):
     y = np.moveaxis(ys, 0, 2)
 
     def vjp(dy):
-        dys = _to_steps(np.asarray(dy, dtype=np.float64))    # [L,K,B,C]
+        dys = _to_steps(dy)                                   # [L,K,B,C]
         dskip = np.einsum("lkbc,lkbc->kc", dys, xs)
         dc_t = np.einsum("lkbc,lkbcn->lkbn", dys, h)
         lam = dys[..., None] * cs[:, :, :, None, :]           # d_h, then the adjoint
@@ -283,28 +282,26 @@ def _selective_scan(x, params, parallel: bool):
 
 
 def _single_scan(x, p: SsmParams, parallel: bool):
-    """One layer: the K = 1 case of _selective_scan on [L, C] or [B, L, C]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ValueError(f"selective scan expects [L,C] or [B,L,C], got shape {x.shape}")
-    squeeze = x.ndim == 2
-    y, vjp_k = _selective_scan((x[None] if squeeze else x)[None], [p], parallel)
+    """One layer: the K = 1 case of _selective_scan."""
+    y, vjp_k = _selective_scan(x[None], [p], parallel)
 
     def vjp(dy):
-        dy = np.asarray(dy, dtype=np.float64)
-        dx, (dp,) = vjp_k((dy[None] if squeeze else dy)[None])
-        return (dx[0, 0] if squeeze else dx[0]), dp
+        dx, (dp,) = vjp_k(dy[None])
+        return dx[0], dp
 
-    return (y[0, 0] if squeeze else y[0]), vjp
+    return y[0], vjp
 
 
 def selective_scan_seq(x, p: SsmParams):
-    """Sequential evaluation of the selective scan. Returns (y, vjp)."""
+    """Sequential evaluation of one selective-scan layer over a batch of
+    sequences x [B, L, C]. Returns (y [B, L, C], vjp) with
+    vjp(dy) -> (dx [B, L, C], SsmParams gradient)."""
     return _single_scan(x, p, parallel=False)
 
 
 def selective_scan_par(x, p: SsmParams):
-    """Parallel-scan evaluation; same result as the sequential form."""
+    """Parallel-scan evaluation of selective_scan_seq: same shapes, and the
+    same result to rounding."""
     return _single_scan(x, p, parallel=True)
 
 
@@ -333,9 +330,9 @@ def bench_scan(lengths=None, reps=11, channels=2, state_dim=2, seed=0):
     p = init_ssm_params(channels, state_dim, rng)
     rows = []
     for L in lengths:
-        x = rng.standard_normal((L, channels)) * 0.5
+        x = rng.standard_normal((1, L, channels)) * 0.5
         # warm up caches and allocation paths
-        selective_scan_seq(x[: min(L, 64)], p)
+        selective_scan_seq(x[:, : min(L, 64)], p)
         t_seq = _time_call(lambda: selective_scan_seq(x, p), reps)
         t_par = _time_call(lambda: selective_scan_par(x, p), reps)
         rows.append({"length": L, "t_seq": t_seq, "t_par": t_par})

@@ -46,30 +46,24 @@ class TrainConfig:
 
 
 def cross_entropy(logits, target):
-    """Mean pixel cross-entropy. logits [B,K,H,W] (or [K,H,W]), target labels
-    [B,H,W] in [0, K). Returns (loss, vjp) with vjp(upstream) -> (dlogits,)."""
-    lg = np.asarray(logits, dtype=np.float64)
-    squeeze = lg.ndim == 3
-    lg4 = lg[None] if squeeze else lg
-    tg = np.asarray(target)
-    tg4 = tg[None] if squeeze else tg
-    k = lg4.shape[1]
-    if tg4.shape != (lg4.shape[0],) + lg4.shape[2:]:
-        raise ValueError(f"target shape {tg.shape} does not match logits {lg.shape}")
-    if tg4.size and (tg4.min() < 0 or tg4.max() >= k):
+    """Mean pixel cross-entropy. logits [B,K,H,W], target labels [B,H,W] in
+    [0, K). Returns (loss, vjp) with vjp(upstream) -> (dlogits,)."""
+    k = logits.shape[1]
+    if target.shape != (logits.shape[0],) + logits.shape[2:]:
+        raise ValueError(f"target shape {target.shape} does not match logits {logits.shape}")
+    if target.size and (target.min() < 0 or target.max() >= k):
         raise ValueError(f"target labels outside [0, {k})")
-    m = lg4.max(axis=1, keepdims=True)
-    z = lg4 - m
+    m = logits.max(axis=1, keepdims=True)
+    z = logits - m
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
-    onehot = np.moveaxis(np.eye(k)[tg4], -1, 1)
-    count = tg4.size
+    onehot = np.moveaxis(np.eye(k)[target], -1, 1)
+    count = target.size
     loss = float(-(logp * onehot).sum() / count)
     softmax = np.exp(logp)
 
     def vjp(upstream=1.0):
-        d = upstream * (softmax - onehot) / count
-        return ((d[0] if squeeze else d),)
+        return (upstream * (softmax - onehot) / count,)
 
     return loss, vjp
 
@@ -81,11 +75,17 @@ class OptimizerState:
     step: int = 0
 
 
-def split_checkpoint(tensors: dict):
-    """Split checkpoint tensors into (weights, OptimizerState at step 0).
+def split_checkpoint(tensors: dict, names):
+    """Split checkpoint tensors into (weights, OptimizerState at step 0) for
+    a model whose weights are named by names.
 
-    Raises ValueError naming every opt.m.*/opt.v.* entry missing for a weight.
+    Raises ValueError naming every entry that is not one of those weights or
+    its opt.m.*/opt.v.* moments, and every moment missing for a weight.
     """
+    extra = [k for k in tensors
+             if (k[len("opt.m."):] if k.startswith(("opt.m.", "opt.v.")) else k) not in names]
+    if extra:
+        raise ValueError(f"checkpoint has entries this model does not have: {', '.join(extra)}")
     params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
     opt = OptimizerState(
         m={k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")},
@@ -260,7 +260,7 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
         check_format(manifest, CHECKPOINT_FORMAT)
         check_resume(manifest, model.cfg.to_dict(), cfg.to_dict())
         start = int(manifest["iteration"])
-        params, opt = split_checkpoint(tensors)
+        params, opt = split_checkpoint(tensors, params)
         opt.step = start
         result.best_miou = float(manifest.get("best_miou", -1.0))
     model.weights = segnet.unflatten_weights(model, params)

@@ -32,7 +32,7 @@ def test_criterion_1_scan_equivalence():
         c = int(rng.integers(1, 4))
         n = int(rng.integers(1, 5))
         p = ssm.init_ssm_params(c, n, np.random.default_rng(trial))
-        x = rng.standard_normal((L, c))
+        x = rng.standard_normal((1, L, c))
         ys, _ = ssm.selective_scan_seq(x, p)
         yp, _ = ssm.selective_scan_par(x, p)
         rel = np.max(np.abs(ys - yp) / np.maximum(np.abs(ys), 1.0))
@@ -83,13 +83,13 @@ def test_criterion_4_linear_complexity():
 
 def test_criterion_5_structural_symmetries():
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((6, 9, 3))
-    merged = scan2d.cross_merge(*scan2d.cross_scan(x), 6, 9)
+    x = rng.standard_normal((1, 6, 9, 3))
+    merged = scan2d.cross_merge(scan2d.cross_scan(x), 6, 9)
     exact = np.array_equal(merged, 4.0 * x) or np.max(np.abs(merged - 4.0 * x)) == 0.0
     p = ssm.init_ssm_params(3, 3, np.random.default_rng(6))
     y, _ = scan2d.ss2d(x, [p, p, p, p])
-    yr, _ = scan2d.ss2d(x[::-1, ::-1].copy(), [p, p, p, p])
-    rel = np.max(np.abs(yr - y[::-1, ::-1]) / np.maximum(np.abs(y), 1.0))
+    yr, _ = scan2d.ss2d(x[:, ::-1, ::-1].copy(), [p, p, p, p])
+    rel = np.max(np.abs(yr - y[:, ::-1, ::-1]) / np.maximum(np.abs(y), 1.0))
     _report(5, exact and rel <= 1e-10,
             f"cross-scan/merge roundtrip exact 4x: {exact}; rot-180 equivariance "
             f"rel diff {rel:.2e}")

@@ -219,6 +219,35 @@ def test_eval_names_missing_weight(dataset, tmp_path, capsys):
     assert "decoder.fuse.w: missing" in capsys.readouterr().err
 
 
+def _with_extra_weight(src, dst, name, **manifest_changes):
+    tensors, manifest = train.load_checkpoint(src)
+    for key in (name, f"opt.m.{name}", f"opt.v.{name}"):
+        tensors[key] = np.zeros(3)
+    train.save_checkpoint(dst, tensors, {**manifest, **manifest_changes})
+    return dst
+
+
+def test_train_resume_names_extra_entry(dataset, tmp_path, capsys):
+    cfg = _run_config(dataset, tmp_path)
+    assert run_cli("train", "--config", str(cfg)) == 0
+    ckpt = _with_extra_weight(tmp_path / "ck" / "last.ckpt", tmp_path / "mid.ckpt",
+                              "decoder.extra", iteration=2)
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(cfg), "--resume", str(ckpt)) == 2
+    err = capsys.readouterr().err
+    assert "decoder.extra, opt.m.decoder.extra, opt.v.decoder.extra" in err
+
+
+def test_eval_names_extra_entry(dataset, tmp_path, capsys):
+    assert run_cli("train", "--config", str(_run_config(dataset, tmp_path))) == 0
+    ckpt = _with_extra_weight(tmp_path / "ck" / "last.ckpt", tmp_path / "bad.ckpt",
+                              "decoder.extra")
+    capsys.readouterr()
+    assert run_cli("eval", "--data", str(dataset), "--variant", "P_RGB",
+                   "--checkpoint", str(ckpt)) == 2
+    assert "decoder.extra" in capsys.readouterr().err
+
+
 def test_eval_fused_variant_requires_sr_checkpoint(dataset, capsys):
     assert run_cli("eval", "--data", str(dataset), "--variant", "PRGB_plus_PIRprime") == 1
     assert "--sr-checkpoint" in capsys.readouterr().err

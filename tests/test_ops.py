@@ -55,7 +55,7 @@ def test_linear_batch_axes_and_mismatch():
 
 def test_depthwise_delta_kernel_is_identity():
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((3, 6, 7))
+    x = rng.standard_normal((1, 3, 6, 7))
     k = np.zeros((3, 3, 3))
     k[:, 1, 1] = 1.0
     y, _ = ops.depthwise_conv2d(x, k)
@@ -63,40 +63,39 @@ def test_depthwise_delta_kernel_is_identity():
 
 
 def test_depthwise_impulse_response():
-    x = np.zeros((1, 5, 5))
-    x[0, 2, 2] = 1.0
+    x = np.zeros((1, 1, 5, 5))
+    x[0, 0, 2, 2] = 1.0
     y, _ = ops.depthwise_conv2d(x, np.ones((1, 3, 3)))
-    expected = np.zeros((5, 5))
-    expected[1:4, 1:4] = 1.0
-    np.testing.assert_allclose(y[0], expected)
+    expected = np.zeros((1, 1, 5, 5))
+    expected[0, 0, 1:4, 1:4] = 1.0
+    np.testing.assert_allclose(y, expected)
 
 
 def test_depthwise_channel_independence():
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((3, 5, 5))
+    x = rng.standard_normal((1, 3, 5, 5))
     k = rng.standard_normal((3, 3, 3))
     y0, _ = ops.depthwise_conv2d(x, k)
     x2 = x.copy()
-    x2[1] += 10.0
+    x2[:, 1] += 10.0
     y1, _ = ops.depthwise_conv2d(x2, k)
-    np.testing.assert_array_equal(y0[0], y1[0])
-    np.testing.assert_array_equal(y0[2], y1[2])
-    assert not np.allclose(y0[1], y1[1])
+    np.testing.assert_array_equal(y0[:, 0], y1[:, 0])
+    np.testing.assert_array_equal(y0[:, 2], y1[:, 2])
+    assert not np.allclose(y0[:, 1], y1[:, 1])
 
 
 def test_depthwise_even_kernel_rejected():
     with pytest.raises(ValueError, match="odd"):
-        ops.depthwise_conv2d(np.zeros((1, 4, 4)), np.zeros((1, 2, 2)))
+        ops.depthwise_conv2d(np.zeros((1, 1, 4, 4)), np.zeros((1, 2, 2)))
 
 
 def _conv2d_direct(x, w, b, dy):
     """Same-padded conv2d and the gradients of sum(dy * y), one output pixel
     and one kernel tap at a time."""
-    x4, dy4 = (x[None], dy[None]) if x.ndim == 3 else (x, dy)
-    bsz, _, h, wd = x4.shape
+    bsz, _, h, wd = x.shape
     _, _, kh, kw = w.shape
     y = np.zeros((bsz, w.shape[0], h, wd))
-    dx, dw = np.zeros_like(x4), np.zeros_like(w)
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
     for n in range(bsz):
         for i in range(h):
             for j in range(wd):
@@ -105,20 +104,17 @@ def _conv2d_direct(x, w, b, dy):
                     for v in range(kw):
                         r, c = i + u - kh // 2, j + v - kw // 2
                         if 0 <= r < h and 0 <= c < wd:
-                            y[n, :, i, j] += w[:, :, u, v] @ x4[n, :, r, c]
-                            dx[n, :, r, c] += w[:, :, u, v].T @ dy4[n, :, i, j]
-                            dw[:, :, u, v] += np.outer(dy4[n, :, i, j], x4[n, :, r, c])
-    db = dy4.sum(axis=(0, 2, 3))
-    if x.ndim == 3:
-        return y[0], dx[0], dw, db
-    return y, dx, dw, db
+                            y[n, :, i, j] += w[:, :, u, v] @ x[n, :, r, c]
+                            dx[n, :, r, c] += w[:, :, u, v].T @ dy[n, :, i, j]
+                            dw[:, :, u, v] += np.outer(dy[n, :, i, j], x[n, :, r, c])
+    return y, dx, dw, dy.sum(axis=(0, 2, 3))
 
 
 _CONV_CASES = [(shape, kernel)
-               for shape in [(2, 4, 6), (3, 2, 5, 7), (3, 1, 6, 5)]
+               for shape in [(1, 2, 4, 6), (3, 2, 5, 7), (3, 1, 6, 5)]
                for kernel in [(1, 1), (3, 3), (5, 5), (1, 3), (3, 1), (5, 3)]]
-# images smaller than their kernel, unbatched and batched
-_CONV_CASES += [((2, 2, 2), (5, 5)), ((3, 1, 2, 2), (5, 5))]
+# images smaller than their kernel, one and three to a batch
+_CONV_CASES += [((1, 2, 2, 2), (5, 5)), ((3, 1, 2, 2), (5, 5))]
 
 
 @pytest.mark.parametrize("rows", [None, 1, 2])
@@ -128,9 +124,8 @@ def test_conv2d_matches_direct_sum(shape, kernel, rows, monkeypatch):
     block, in blocks of one row, and in blocks of two rows (the last block
     of an odd height is partial)."""
     if rows is not None:
-        bsz = shape[0] if len(shape) == 4 else 1
         wp = shape[-1] + 2 * (kernel[1] // 2)
-        monkeypatch.setattr(ops, "_CONV_BLOCK_BYTES", rows * 8 * bsz * 3 * wp)
+        monkeypatch.setattr(ops, "_CONV_BLOCK_BYTES", rows * 8 * shape[0] * 3 * wp)
     rng = np.random.default_rng(sum(shape) * 10 + kernel[0] * 3 + kernel[1])
     x = rng.standard_normal(shape)
     x0 = x.copy()
@@ -208,7 +203,7 @@ def test_nearest_resize_binary_stays_binary():
 
 def test_purity_bitwise():
     rng = np.random.default_rng(8)
-    x = rng.standard_normal((3, 8, 8))
+    x = rng.standard_normal((1, 3, 8, 8))
     k = rng.standard_normal((3, 3, 3))
     a, _ = ops.depthwise_conv2d(x, k)
     b, _ = ops.depthwise_conv2d(x, k)
@@ -225,7 +220,7 @@ def test_gradients_random_shapes(trial):
     h = int(rng.integers(3, 8))
     w = int(rng.integers(3, 8))
     c = int(rng.integers(1, 4))
-    x = rng.standard_normal((c, h, w))
+    x = rng.standard_normal((1, c, h, w))
     checks = [
         ("silu", ops.silu, [x]),
         ("softplus", ops.softplus, [x]),
@@ -269,7 +264,7 @@ def test_grad_check_catches_wrong_vjp():
 
     rng = np.random.default_rng(1)
     w = segnet.DownsampleWeights(w=rng.standard_normal((8, 4)), b=rng.standard_normal(4))
-    rep = grad_check(bad_downsample, [rng.standard_normal((4, 4, 2)), w], tol=1e-5)
+    rep = grad_check(bad_downsample, [rng.standard_normal((1, 4, 4, 2)), w], tol=1e-5)
     assert not rep.passed
     assert [c.name for c in rep.inputs if c.max_rel_err > rep.tol] == ["1.b"]
     assert [c.name for c in rep.inputs] == ["0", "1.w", "1.b"]

@@ -47,9 +47,9 @@ def test_rl_is_reversed_lr():
 
 def test_cross_scan_row_runs():
     h, w, c = 3, 5, 1
-    x = np.repeat(np.arange(h, dtype=float)[:, None], w, axis=1)[..., None]
+    x = np.repeat(np.arange(h, dtype=float)[:, None], w, axis=1).reshape(1, h, w, c)
     seqs = dict(zip(scan2d.DIRECTIONS, scan2d.cross_scan(x)))
-    lr = seqs["LR"][:, 0]
+    lr = seqs["LR"][0, :, 0]
     for row in range(h):
         run = lr[row * w:(row + 1) * w]
         assert np.all(run == run[0])
@@ -57,29 +57,30 @@ def test_cross_scan_row_runs():
 
 def test_scan_merge_roundtrip_is_4x():
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((4, 5, 3))
+    x = rng.standard_normal((1, 4, 5, 3))
     seqs = scan2d.cross_scan(x)
-    merged = scan2d.cross_merge(*seqs, 4, 5)
+    merged = scan2d.cross_merge(seqs, 4, 5)
     np.testing.assert_allclose(merged, 4.0 * x, atol=1e-14)
 
 
 def test_merge_single_nonzero_sequence():
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((3, 3, 2))
+    x = rng.standard_normal((1, 3, 3, 2))
     seqs = scan2d.cross_scan(x)
-    zero = np.zeros_like(seqs[0])
-    merged = scan2d.cross_merge(zero, seqs[1], zero, zero, 3, 3)
+    only_tb = np.zeros_like(seqs)
+    only_tb[1] = seqs[1]
+    merged = scan2d.cross_merge(only_tb, 3, 3)
     np.testing.assert_allclose(merged, x)
 
 
 def test_merge_linearity_and_length_check():
     rng = np.random.default_rng(2)
-    seqs = [rng.standard_normal((6, 2)) for _ in range(4)]
-    m1 = scan2d.cross_merge(*seqs, 2, 3)
-    m2 = scan2d.cross_merge(*(3.0 * s for s in seqs), 2, 3)
+    seqs = rng.standard_normal((4, 1, 6, 2))
+    m1 = scan2d.cross_merge(seqs, 2, 3)
+    m2 = scan2d.cross_merge(3.0 * seqs, 2, 3)
     np.testing.assert_allclose(m2, 3.0 * m1)
     with pytest.raises(ValueError, match="length"):
-        scan2d.cross_merge(seqs[0][:5], seqs[1], seqs[2], seqs[3], 2, 3)
+        scan2d.cross_merge(seqs[:, :, :5], 2, 3)
 
 
 def _skip_only_params(c, n):
@@ -92,7 +93,7 @@ def _skip_only_params(c, n):
 def test_ss2d_all_skip_gives_4x():
     p = _skip_only_params(3, 2)
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((5, 4, 3))
+    x = rng.standard_normal((1, 5, 4, 3))
     y, _ = scan2d.ss2d(x, [p, p, p, p])
     np.testing.assert_allclose(y, 4.0 * x, atol=1e-12)
 
@@ -101,11 +102,11 @@ def test_ss2d_rot180_equivariance_tied():
     c, n = 3, 2
     p = ssm.init_ssm_params(c, n, np.random.default_rng(5))
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((6, 7, c))
+    x = rng.standard_normal((1, 6, 7, c))
     y, _ = scan2d.ss2d(x, [p, p, p, p])
-    xr = x[::-1, ::-1].copy()
+    xr = x[:, ::-1, ::-1].copy()
     yr, _ = scan2d.ss2d(xr, [p, p, p, p])
-    np.testing.assert_allclose(yr, y[::-1, ::-1],
+    np.testing.assert_allclose(yr, y[:, ::-1, ::-1],
                                rtol=1e-10, atol=1e-12)
 
 
@@ -115,14 +116,14 @@ def test_ss2d_batched_matches_loop():
     xb = rng.standard_normal((3, 4, 4, 2))
     yb, _ = scan2d.ss2d(xb, ps)
     for b in range(3):
-        y1, _ = scan2d.ss2d(xb[b], ps)
-        np.testing.assert_allclose(yb[b], y1, rtol=1e-12, atol=1e-14)
+        y1, _ = scan2d.ss2d(xb[b:b + 1], ps)
+        np.testing.assert_allclose(yb[b:b + 1], y1, rtol=1e-12, atol=1e-14)
 
 
 def test_ss2d_gradcheck():
     c, n = 2, 2
     rng = np.random.default_rng(8)
-    x = rng.standard_normal((3, 3, c)) * 0.5
+    x = rng.standard_normal((1, 3, 3, c)) * 0.5
     ps = [ssm.init_ssm_params(c, n, np.random.default_rng(20 + i)) for i in range(4)]
     rep = grad_check(scan2d.ss2d, [x, ps], tol=1e-4, name="ss2d")
     assert rep.passed, str(rep)
@@ -130,11 +131,11 @@ def test_ss2d_gradcheck():
 
 def _per_direction_oracle(x, ps, dy):
     """ss2d as cross_merge of four independent K = 1 sequential scans."""
-    h, w = x.shape[-3:-1]
+    h, w = x.shape[1:3]
     runs = [ssm.selective_scan_seq(s, p) for s, p in zip(scan2d.cross_scan(x), ps)]
-    y = scan2d.cross_merge(*(yd for yd, _ in runs), h, w)
+    y = scan2d.cross_merge(np.stack([yd for yd, _ in runs]), h, w)
     grads = [vjp_d(dd) for (_, vjp_d), dd in zip(runs, scan2d.cross_scan(dy))]
-    dx = scan2d.cross_merge(*(dxd for dxd, _ in grads), h, w)
+    dx = scan2d.cross_merge(np.stack([dxd for dxd, _ in grads]), h, w)
     return y, dx, [dp for _, dp in grads]
 
 
@@ -206,7 +207,7 @@ def test_ss2d_series_branch(small_channels, mask):
     y, _ = scan2d.ss2d(x, ps)
     y_o, _, _ = _per_direction_oracle(x, ps, np.zeros_like(x))
     assert _rel(y, y_o) <= 1e-12
-    rep = grad_check(scan2d.ss2d, [x[0], ps], tol=1e-4, name=f"ss2d series {mask}")
+    rep = grad_check(scan2d.ss2d, [x[:1], ps], tol=1e-4, name=f"ss2d series {mask}")
     assert rep.passed, str(rep)
     if small_channels:
         # the a_log gradient of a series channel is ~1e-10, below grad_check's
@@ -232,7 +233,7 @@ def test_ss2d_series_branch(small_channels, mask):
 
 def test_ss2d_seq_par_agree():
     ps = [ssm.init_ssm_params(2, 3, np.random.default_rng(30 + i)) for i in range(4)]
-    x = np.random.default_rng(9).standard_normal((5, 6, 2))
+    x = np.random.default_rng(9).standard_normal((1, 5, 6, 2))
     y1, _ = scan2d.ss2d(x, ps, parallel=True)
     y2, _ = scan2d.ss2d(x, ps, parallel=False)
     np.testing.assert_allclose(y1, y2, rtol=1e-10, atol=1e-13)

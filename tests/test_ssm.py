@@ -104,25 +104,25 @@ def test_recurrence_seq_matches_step_loop():
 
 def test_scan_zero_input_zero_output():
     p = make_params(3, 2)
-    y, _ = ssm.selective_scan_seq(np.zeros((9, 3)), p)
-    np.testing.assert_array_equal(y, np.zeros((9, 3)))
+    y, _ = ssm.selective_scan_seq(np.zeros((1, 9, 3)), p)
+    np.testing.assert_array_equal(y, np.zeros((1, 9, 3)))
 
 
 def test_scan_pure_skip_path():
     p = make_params(3, 2, seed=8)
     p.b_w[:] = 0.0  # kills the state path
     p.skip[:] = 1.0
-    x = np.random.default_rng(9).standard_normal((11, 3))
+    x = np.random.default_rng(9).standard_normal((1, 11, 3))
     y, _ = ssm.selective_scan_seq(x, p)
     np.testing.assert_allclose(y, x, atol=1e-12)
 
 
 def test_scan_empty_sequence():
     p = make_params(2, 2)
-    y, vjp = ssm.selective_scan_seq(np.zeros((0, 2)), p)
-    assert y.shape == (0, 2)
-    dx, dp = vjp(np.zeros((0, 2)))
-    assert dx.shape == (0, 2)
+    y, vjp = ssm.selective_scan_seq(np.zeros((1, 0, 2)), p)
+    assert y.shape == (1, 0, 2)
+    dx, dp = vjp(np.zeros((1, 0, 2)))
+    assert dx.shape == (1, 0, 2)
     assert np.all(dp.a_log == 0)
 
 
@@ -133,7 +133,7 @@ def test_par_matches_seq_many_lengths():
         c = int(rng.integers(1, 4))
         n = int(rng.integers(1, 5))
         p = make_params(c, n, seed=trial)
-        x = rng.standard_normal((L, c))
+        x = rng.standard_normal((1, L, c))
         ys, _ = ssm.selective_scan_seq(x, p)
         yp, _ = ssm.selective_scan_par(x, p)
         denom = np.maximum(np.abs(ys), 1e-300)
@@ -142,13 +142,13 @@ def test_par_matches_seq_many_lengths():
 
 def test_single_step_closed_form():
     p = make_params(2, 3, seed=11)
-    x = np.random.default_rng(12).standard_normal((1, 2))
+    x = np.random.default_rng(12).standard_normal((1, 1, 2))
     dt, b_t, c_t = ssm.s6_project(x, p)
     pair = ssm.discretize_zoh(p.materialized_a(), b_t, dt)
-    h1 = pair.gain[0] * x[0][:, None]
-    expect = h1 @ c_t[0] + p.skip * x[0]
+    h1 = pair.gain[0, 0] * x[0, 0][:, None]
+    expect = h1 @ c_t[0, 0] + p.skip * x[0, 0]
     y, _ = ssm.selective_scan_par(x, p)
-    np.testing.assert_allclose(y[0], expect, rtol=1e-12)
+    np.testing.assert_allclose(y[0, 0], expect, rtol=1e-12)
 
 
 def test_batched_matches_loop():
@@ -157,8 +157,8 @@ def test_batched_matches_loop():
     xb = rng.standard_normal((4, 17, 3))
     yb, _ = ssm.selective_scan_par(xb, p)
     for b in range(4):
-        y1, _ = ssm.selective_scan_par(xb[b], p)
-        np.testing.assert_allclose(yb[b], y1, rtol=1e-12, atol=1e-14)
+        y1, _ = ssm.selective_scan_par(xb[b:b + 1], p)
+        np.testing.assert_allclose(yb[b:b + 1], y1, rtol=1e-12, atol=1e-14)
 
 
 def test_bounded_state_property():
@@ -177,7 +177,7 @@ def test_channel_permutation_equivariance():
     c, n = 4, 3
     p = make_params(c, n, seed=17)
     rng = np.random.default_rng(18)
-    x = rng.standard_normal((20, c))
+    x = rng.standard_normal((1, 20, c))
     perm = rng.permutation(c)
     pp = ssm.SsmParams(
         a_log=p.a_log[perm], skip=p.skip[perm],
@@ -185,14 +185,14 @@ def test_channel_permutation_equivariance():
         b_w=p.b_w[perm], c_w=p.c_w[perm],
     )
     y, _ = ssm.selective_scan_par(x, p)
-    y2, _ = ssm.selective_scan_par(x[:, perm], pp)
-    np.testing.assert_allclose(y2, y[:, perm], rtol=1e-12, atol=1e-14)
+    y2, _ = ssm.selective_scan_par(x[..., perm], pp)
+    np.testing.assert_allclose(y2, y[..., perm], rtol=1e-12, atol=1e-14)
 
 
 def test_vjp_zero_upstream():
     p = make_params(2, 2, seed=19)
-    x = np.random.default_rng(20).standard_normal((6, 2))
-    dx, dp = ssm.selective_scan_par(x, p)[1](np.zeros((6, 2)))
+    x = np.random.default_rng(20).standard_normal((1, 6, 2))
+    dx, dp = ssm.selective_scan_par(x, p)[1](np.zeros((1, 6, 2)))
     assert np.all(dx == 0)
     for arr in (dp.a_log, dp.skip, dp.dt_w, dp.dt_b, dp.b_w, dp.c_w):
         assert np.all(arr == 0)
@@ -201,16 +201,16 @@ def test_vjp_zero_upstream():
 def test_vjp_skip_gradient_closed_form():
     p = make_params(3, 2, seed=21)
     rng = np.random.default_rng(22)
-    x = rng.standard_normal((10, 3))
-    up = rng.standard_normal((10, 3))
+    x = rng.standard_normal((1, 10, 3))
+    up = rng.standard_normal((1, 10, 3))
     _, dp = ssm.selective_scan_par(x, p)[1](up)
-    np.testing.assert_allclose(dp.skip, (up * x).sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(dp.skip, (up * x).sum(axis=(0, 1)), rtol=1e-12)
 
 
 def _scan_gradcheck(scan_fn, tol):
     rng = np.random.default_rng(23)
     L, c, n = 16, 3, 4
-    x = rng.standard_normal((L, c)) * 0.5
+    x = rng.standard_normal((1, L, c)) * 0.5
     p = make_params(c, n, seed=24)
     return grad_check(scan_fn, [x, p], tol=tol, name=scan_fn.__name__)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -87,6 +88,51 @@ def test_train_config_defaults_and_validation():
     for name in ("batch_size", "eval_interval"):
         with pytest.raises(ValueError, match=name):
             train.TrainConfig(**{name: 0})
+
+
+def _global_norm(grads):
+    return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+
+
+def test_clip_grad_norm():
+    grads = {"a": np.array([3.0, 0.0]), "b": np.array([[-4.0]])}  # global norm 5
+    clipped = train.clip_grad_norm(grads, 1.0)
+    assert abs(_global_norm(clipped) - 1.0) < 1e-12
+    for name, g in grads.items():  # rescaled, direction kept
+        np.testing.assert_allclose(clipped[name], g / 5.0, rtol=1e-15)
+    for max_norm in (5.0, 7.5):  # at or below the threshold: unchanged
+        same = train.clip_grad_norm(grads, max_norm)
+        assert all(np.array_equal(same[k], grads[k]) for k in grads)
+    zeros = {"a": np.zeros(2), "b": np.zeros((1, 1))}
+    out = train.clip_grad_norm(zeros, 1.0)
+    assert all(np.array_equal(out[k], zeros[k]) for k in zeros)
+
+
+def test_train_with_grad_clip_is_deterministic(tmp_path, monkeypatch):
+    norms = []
+    real = train.clip_grad_norm
+
+    def spy(grads, max_norm):
+        out = real(grads, max_norm)
+        norms.append((_global_norm(grads), _global_norm(out)))
+        return out
+
+    monkeypatch.setattr(train, "clip_grad_norm", spy)
+    runs = []
+    for run in range(2):
+        tcfg, tsrc, vsrc = _toy_setup(tmp_path / f"r{run}", total=4, eval_interval=2)
+        tcfg = dataclasses.replace(tcfg, grad_clip=0.05)
+        model = segnet.init_model(CFG3, data.named_rng(0, "init"))
+        res = train.train(model, tsrc, tcfg, val_batches_fn=vsrc.eval_batches)
+        runs.append((res.loss_curve, segnet.flatten_weights(model),
+                     train.load_checkpoint(res.last_path)[0]))
+    assert len(norms) == 8
+    assert all(before > 0.05 and abs(after - 0.05) < 1e-12 for before, after in norms)
+    (curve_a, weights_a, ckpt_a), (curve_b, weights_b, ckpt_b) = runs
+    assert curve_a == curve_b
+    for a, b in ((weights_a, weights_b), (ckpt_a, ckpt_b)):
+        assert list(a) == list(b)
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
 def test_poly_lr_schedule():
