@@ -159,10 +159,12 @@ def depthwise_conv2d(x, k):
     return y, vjp
 
 
-# Bytes of one row block's accumulator in conv2d: small enough that it and
-# its tap product stay in a core's cache and are reused from call to call
-# instead of being freshly paged in.
-_CONV_BLOCK_BYTES = 1 << 19
+# Bytes of one working block: a conv2d row block's accumulator, or one
+# [T, K, B, N, C] state array of an L-chunk of the selective scan. Small
+# enough that such a block and the few others computed beside it stay in a
+# core's cache and are reused from block to block instead of being freshly
+# paged in.
+_BLOCK_BYTES = 1 << 19
 
 
 def conv2d(x, w, b):
@@ -197,7 +199,7 @@ def conv2d(x, w, b):
     # [kh, kw, Cout, Cin]: each tap's matrix is contiguous, so BLAS takes it as is
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     taps = [(u, v, u * wp + v) for u in range(kh) for v in range(kw)]
-    rows = max(1, min(h, _CONV_BLOCK_BYTES // max(1, 8 * bsz * co * wp)))
+    rows = max(1, min(h, _BLOCK_BYTES // max(1, 8 * bsz * co * wp)))
     blocks = [(i, min(rows, h - i)) for i in range(0, h, rows)]
 
     y = np.empty((bsz, co, h, wd))

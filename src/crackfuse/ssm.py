@@ -18,10 +18,18 @@ at the 1e-4 threshold and removes the 0/0.
 
 One call scans K layers with their own weights (the four directions of
 ss2d) as a stacked batch, and the single-layer scans are its K = 1 case.
-The recurrence runs either step by step, which the model uses, or as a
-work-efficient (Blelloch-style) parallel scan over the associative combine
-(a2, b2) o (a1, b1) = (a1*a2, a2*b1 + b2). Both give the same result; the
-backward pass is itself a reversed scan of the same form.
+The per-state work runs state-major, [T, K, B, N, C], in L-chunks of T steps
+whose state array fits the cache-sized ops._BLOCK_BYTES, so no array of all
+L states is ever formed (the selective-scan kernel of Mamba, Gu & Dao 2023,
+section 3.3.2; chunks with a carried state as in Mamba-2). The forward
+carries h across chunk boundaries and keeps only each chunk's entry state;
+the backward walks the chunks in reverse, recomputes the discretization and
+the states of a chunk from its entry state, and carries the adjoint back
+across the boundary. Inside a chunk the recurrence runs either step by step,
+which the model uses, or as a work-efficient (Blelloch-style) parallel scan
+over the associative combine (a2, b2) o (a1, b1) = (a1*a2, a2*b1 + b2).
+Both give the same result; the backward pass is itself a reversed scan of
+the same form.
 """
 from __future__ import annotations
 
@@ -31,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 from .ops import _sigmoid, _softplus
 
 SERIES_THRESHOLD = 1e-4
@@ -108,49 +117,70 @@ class DiscretizedPair:
     g: np.ndarray      # (decay - 1) / a, series branch near dt*a = 0
     small: np.ndarray  # True where the series branch is taken
 
+    @classmethod
+    def empty(cls, shape):
+        """Uninitialized arrays of one shape, to pass as discretize_zoh's out."""
+        return cls(decay=np.empty(shape), gain=np.empty(shape), g=np.empty(shape),
+                   small=np.empty(shape, dtype=bool))
 
-def discretize_zoh(a, b_t, dt):
+    def __getitem__(self, index):
+        """The same entries of all four arrays, as views."""
+        return DiscretizedPair(decay=self.decay[index], gain=self.gain[index],
+                               g=self.g[index], small=self.small[index])
+
+
+def discretize_zoh(a, b_t, dt, out=None):
     """Discretize diagonal dynamics a under step sizes dt with held inputs.
 
-    a: [C, N], or any shape that broadcasts against dt[..., None];
-    b_t: [L, N] (or [..., L, N]); dt: [L, C] (or [..., L, C]).
-    Returns decay and gain of shape [..., L, C, N]. The series branch is
-    evaluated only where |dt*a| is below the threshold.
+    State-major shapes: a: [N, C], or any shape that broadcasts against
+    dt[..., None, :]; b_t: [L, N] (or [..., L, N]); dt: [L, C] (or
+    [..., L, C]). Returns decay and gain of shape [..., L, N, C]. The series
+    branch is evaluated only where |dt*a| is below the threshold. out, a
+    DiscretizedPair of that shape, receives the result in place of fresh
+    arrays (the scan reuses one across its chunks).
     """
     dt = np.asarray(dt, dtype=np.float64)
     if np.any(dt <= 0.0):
         raise ValueError("discretize_zoh: step sizes must be strictly positive")
-    z = dt[..., None] * a
-    decay = np.exp(z)
-    g = np.expm1(z)
+    z = np.multiply(dt[..., None, :], a, out=None if out is None else out.gain)
+    if out is None:
+        out = DiscretizedPair(decay=np.empty_like(z), gain=z, g=np.empty_like(z),
+                              small=np.empty(z.shape, dtype=bool))
+    decay = np.exp(z, out=out.decay)
+    g = np.expm1(z, out=out.g)
     g /= a
-    small = (-SERIES_THRESHOLD < z) & (z < SERIES_THRESHOLD)
+    small = np.logical_and(-SERIES_THRESHOLD < z, z < SERIES_THRESHOLD, out=out.small)
     if small.any():
         zs = z[small]
-        g[small] = np.broadcast_to(dt[..., None], z.shape)[small] * (1.0 + zs / 2.0 + (zs * zs) / 6.0)
-    gain = np.multiply(g, np.asarray(b_t)[..., None, :], out=z)  # z is not needed past here
-    return DiscretizedPair(decay=decay, gain=gain, g=g, small=small)
+        g[small] = np.broadcast_to(dt[..., None, :], z.shape)[small] * (1.0 + zs / 2.0 + (zs * zs) / 6.0)
+    np.multiply(g, np.asarray(b_t)[..., None], out=z)  # the gain; z is not needed past here
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Linear recurrence h_k = a_k * h_{k-1} + u_k with h_0 = 0, over axis 0.
 
 
-def linear_recurrence_seq(a, u):
-    """Step-by-step evaluation; a, u: [L, ...]. a[0] is never read."""
-    out = u.copy()
+def linear_recurrence_seq(a, u, out=None):
+    """Step-by-step evaluation; a, u: [L, ...]. a[0] is never read. The
+    result is written to out when given, which may be u itself."""
+    if out is None:
+        out = u.copy()
+    elif out is not u:
+        out[...] = u
     for k in range(1, out.shape[0]):
         out[k] += a[k] * out[k - 1]
     return out
 
 
-def linear_recurrence_par(a, u):
+def linear_recurrence_par(a, u, out=None):
     """Work-efficient scan: pad to a power of two with the identity (1, 0),
     then an in-place up-sweep / down-sweep over the combine
-    (a2, b2) o (a1, b1) = (a1*a2, a2*b1 + b2)."""
+    (a2, b2) o (a1, b1) = (a1*a2, a2*b1 + b2). The result is copied to out
+    when given, which may be u itself."""
     L = a.shape[0]
     if L == 0:
-        return u.copy()
+        return u.copy() if out is None else out
     P = 1 << (L - 1).bit_length()
     av = np.ones((P,) + a.shape[1:], dtype=np.float64)
     uv = np.zeros((P,) + u.shape[1:], dtype=np.float64)
@@ -171,7 +201,10 @@ def linear_recurrence_par(a, u):
         tgt = idx + half
         uv[tgt] += av[tgt] * uv[idx]
         av[tgt] *= av[idx]
-    return uv[:L]
+    if out is None:
+        return uv[:L]
+    out[...] = uv[:L]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +226,50 @@ def _to_steps(a):
     return np.ascontiguousarray(np.moveaxis(a, 2, 0))
 
 
+def _chunks(length, step_elems):
+    """[start, stop) bounds of the L-chunks: as many steps as keep one float64
+    state array of step_elems a step within ops._BLOCK_BYTES, at least one."""
+    t = max(1, ops._BLOCK_BYTES // (8 * step_elems))
+    return [(s, min(s + t, length)) for s in range(0, length, t)]
+
+
+def _sum_states(p):
+    """Sum p [..., N, C] over N, in place, by folding the upper half of the
+    states onto the lower until one is left. The order of the additions is
+    fixed (a pairwise tree), whatever SIMD width a numpy reduction would
+    pick on the machine. Returns a [..., C] view of p."""
+    n = p.shape[-2]
+    while n > 1:
+        half = 1 << ((n - 1).bit_length() - 1)
+        p[..., : n - half, :] += p[..., half:n, :]
+        n = half
+    return p[..., 0, :]
+
+
 def _selective_scan(x, params, parallel: bool):
     """K independent selective scans in one pass. x: [K, B, L, C]; params: K
     SsmParams (the same object may repeat). Returns (y [K, B, L, C], vjp) with
     vjp(dy) -> (dx [K, B, L, C], [SsmParams gradient per layer]).
 
-    The [.., C, N] work runs step-major, [L, K, B, C, N], so each recurrence
-    step is one contiguous slice across all K layers and the batch.
+    The projections run on whole sequences and are kept step-major,
+    [L, K, B, .], so each recurrence step is one contiguous slice across all
+    K layers and the batch. The per-state work runs in L-chunks of T steps
+    on state-major [T, K, B, N, C] arrays that fit ops._BLOCK_BYTES:
+
+    - forward: a chunk's states start from the carried state h_in of the one
+      before, u[0] += decay[0] * h_in, and the readout is written chunk by
+      chunk; the vjp keeps the projections and one [K, B, N, C] entry state
+      per chunk, never the states themselves;
+    - backward: the chunks run in reverse; each recomputes its
+      discretization and states from its entry state, then runs the adjoint
+      mu = decay * lam with the carried mu_in of the chunk after it:
+      v[-1] += decay[-1] * mu_in, lam[-1] += mu_in and, for the chain term
+      through decay, q[0] = mu[0] * h_in.
+
+    Each chunk makes one recurrence call forward and two backward (the
+    recompute and the adjoint), sequential or Blelloch by `parallel`. The
+    chunks of one pass share their [T, ...] work arrays, so these are paged
+    in once per pass, not once per chunk.
     """
     K, B, L, C = x.shape
     for p in params:
@@ -215,53 +285,89 @@ def _selective_scan(x, params, parallel: bool):
 
     ps = _stacked(params)
     pre, dt, b_t, c_t = _project(x, ps)          # [K,B,L,C], [K,B,L,N] x2
-    a = ps.materialized_a()                      # [K,C,N]
-    a5 = a[:, None]                              # broadcasts against [L,K,B,C,N]
+    a_cn = ps.materialized_a()                   # [K,C,N]
+    a = np.swapaxes(a_cn, 1, 2)[:, None]         # [K,1,N,C]: broadcasts against [T,K,B,N,C]
+    skip = ps.skip[:, 0]                         # [K,1,C]
     xs, dts, bs, cs = (_to_steps(v) for v in (x, dt, b_t, c_t))
-    pair = discretize_zoh(a5, bs, dts)           # [L,K,B,C,N]
-    decay, g, small = pair.decay, pair.g, pair.small
-    u = pair.gain
-    u *= xs[..., None]
-    h = scan_fn(decay, u)
-    del u, pair
-    ys = np.einsum("lkbcn,lkbn->lkbc", h, cs)
-    ys += ps.skip[:, 0] * xs
+    chunks = _chunks(L, K * B * N * C)
+    work = (chunks[0][1], K, B, N, C)            # [T,K,B,N,C]
+
+    def states(s, e, h_in, out):
+        """Discretization and states of steps [s, e), entered with state h_in,
+        in the first e - s steps of the work arrays out."""
+        pair = discretize_zoh(a, bs[s:e], dts[s:e], out=out[: e - s])
+        u = pair.gain
+        u *= xs[s:e, ..., None, :]
+        if h_in is not None:
+            u[0] += pair.decay[0] * h_in
+        return pair, scan_fn(pair.decay, u, out=u)
+
+    ys = np.empty_like(xs)                       # [L,K,B,C]
+    h_ins = [None]                               # entry state of each chunk
+    pair_buf = DiscretizedPair.empty(work)
+    for s, e in chunks:
+        h = states(s, e, h_ins[-1], pair_buf)[1]
+        h_ins.append(h[-1].copy())
+        h *= cs[s:e, ..., None]
+        ys[s:e] = _sum_states(h)
+    del h_ins[-1]
+    ys += skip * xs
     y = np.moveaxis(ys, 0, 2)
 
     def vjp(dy):
         dys = _to_steps(dy)                                   # [L,K,B,C]
         dskip = np.einsum("lkbc,lkbc->kc", dys, xs)
-        dc_t = np.einsum("lkbc,lkbcn->lkbn", dys, h)
-        lam = dys[..., None] * cs[:, :, :, None, :]           # d_h, then the adjoint
-        # The adjoint lam_k = d_h_k + decay_{k+1} * lam_{k+1} runs right to left.
-        # In terms of mu = decay * lam it is the forward recurrence
-        # mu_k = decay_k * mu_{k+1} + decay_k * d_h_k over reversed views.
-        mu = scan_fn(decay[::-1], (lam * decay)[::-1])[::-1]
-        lam[:-1] += mu[1:]
-        # chain through decay = exp(z): lam_k * h_{k-1} * decay_k = mu_k * h_{k-1}
-        q = mu
-        q[0] = 0.0
-        q[1:] *= h[:-1]
-        lam_g = lam * g
-        dxs = dys * ps.skip[:, 0] + np.einsum("lkbcn,lkbn->lkbc", lam_g, bs)
-        db_t = np.einsum("lkbcn,lkbc->lkbn", lam_g, xs)
-        dg = lam
-        dg *= xs[..., None]
-        dg *= bs[:, :, :, None, :]
-        # partials of g wrt dt and a: decay and (dt*decay - g)/a off the series
-        # branch, the derivatives of dt*(1 + z/2 + z^2/6) on it
-        g_dt = decay
-        g_a = np.multiply(dts[..., None], decay, out=lam_g)
-        g_a -= g
-        g_a /= a5
-        if small.any():
-            g_dt = decay.copy()
-            dt_s = np.broadcast_to(dts[..., None], g.shape)[small]
-            z_s = dt_s * np.broadcast_to(a5, g.shape)[small]
-            g_dt[small] = 1.0 + z_s + (z_s * z_s) / 2.0
-            g_a[small] = dt_s * dt_s * (0.5 + z_s / 3.0)
-        ddt = np.einsum("lkbcn,kcn->lkbc", q, a) + np.einsum("lkbcn,lkbcn->lkbc", dg, g_dt)
-        da = np.einsum("lkbcn,lkbc->kcn", q, dts) + np.einsum("lkbcn,lkbcn->kcn", dg, g_a)
+        dxs, ddt = np.empty_like(xs), np.empty_like(xs)
+        db_t, dc_t = np.empty_like(bs), np.empty_like(cs)
+        da = np.zeros((K, N, C))
+        pair_buf = DiscretizedPair.empty(work)
+        lam_buf, v_buf, w_buf = np.empty(work), np.empty(work), np.empty(work)
+        mu_in = None
+        for (s, e), h_in in zip(reversed(chunks), reversed(h_ins)):
+            pair, h = states(s, e, h_in, pair_buf)
+            decay, g = pair.decay, pair.g
+            dy_c, x_c, dt_c, b_c = dys[s:e], xs[s:e], dts[s:e], bs[s:e]
+            np.einsum("tkbc,tkbnc->tkbn", dy_c, h, out=dc_t[s:e])
+            # d_h, then the adjoint
+            lam = np.multiply(dy_c[..., None, :], cs[s:e, ..., None], out=lam_buf[: e - s])
+            # The adjoint lam_k = d_h_k + decay_{k+1} * lam_{k+1} runs right to left.
+            # In terms of mu = decay * lam it is the forward recurrence
+            # mu_k = decay_k * mu_{k+1} + decay_k * d_h_k over reversed views.
+            v = np.multiply(lam, decay, out=v_buf[: e - s])
+            if mu_in is not None:
+                v[-1] += decay[-1] * mu_in
+                lam[-1] += mu_in
+            mu = scan_fn(decay[::-1], v[::-1], out=v[::-1])[::-1]
+            lam[:-1] += mu[1:]
+            mu_in = mu[0].copy()
+            # chain through decay = exp(z): lam_k * h_{k-1} * decay_k = mu_k * h_{k-1}
+            q = mu
+            q[1:] *= h[:-1]
+            if h_in is None:
+                q[0] = 0.0
+            else:
+                q[0] *= h_in
+            lam_g = np.multiply(lam, g, out=w_buf[: e - s])
+            dxs[s:e] = dy_c * skip + np.einsum("tkbnc,tkbn->tkbc", lam_g, b_c)
+            np.einsum("tkbnc,tkbc->tkbn", lam_g, x_c, out=db_t[s:e])
+            dg = lam
+            dg *= x_c[..., None, :]
+            dg *= b_c[..., None]
+            # partials of g wrt dt and a: decay and (dt*decay - g)/a off the series
+            # branch, the derivatives of dt*(1 + z/2 + z^2/6) on it
+            g_dt = decay
+            g_a = np.multiply(dt_c[..., None, :], decay, out=lam_g)
+            g_a -= g
+            g_a /= a
+            if pair.small.any():
+                small = pair.small
+                g_dt = decay.copy()
+                dt_s = np.broadcast_to(dt_c[..., None, :], g.shape)[small]
+                z_s = dt_s * np.broadcast_to(a, g.shape)[small]
+                g_dt[small] = 1.0 + z_s + (z_s * z_s) / 2.0
+                g_a[small] = dt_s * dt_s * (0.5 + z_s / 3.0)
+            ddt[s:e] = np.einsum("tkbnc,knc->tkbc", q, a[:, 0]) + np.einsum("tkbnc,tkbnc->tkbc", dg, g_dt)
+            da += np.einsum("tkbnc,tkbc->knc", q, dt_c) + np.einsum("tkbnc,tkbnc->knc", dg, g_a)
         dpre = np.moveaxis(ddt, 0, 2) * _sigmoid(pre)          # [K,B,L,C]
         db_t = np.moveaxis(db_t, 0, 2)
         dc_t = np.moveaxis(dc_t, 0, 2)
@@ -273,7 +379,7 @@ def _selective_scan(x, params, parallel: bool):
         ddt_b = dpre.sum(axis=(1, 2))
         db_w = xt @ db_t.reshape(K, B * L, N)
         dc_w = xt @ dc_t.reshape(K, B * L, N)
-        da_log = da * a
+        da_log = np.swapaxes(da, 1, 2) * a_cn
         dps = [SsmParams(a_log=da_log[k], skip=dskip[k], dt_w=ddt_w[k], dt_b=ddt_b[k],
                          b_w=db_w[k], c_w=dc_w[k]) for k in range(K)]
         return dx, dps

@@ -72,7 +72,10 @@ def tensor_from_bytes(buf: bytes) -> np.ndarray:
         raise TensorFormatError(
             f"payload length {len(payload)} does not match shape {shape} ({expect} bytes)"
         )
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    try:
+        arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    except ValueError as e:  # over numpy's axis count, or an extent past its index range
+        raise TensorFormatError(f"shape {shape} is not representable: {e}") from e
     # native byte order, writable copy
     return arr.astype(dtype.newbyteorder("="), copy=True)
 

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +151,10 @@ _ZIP_STAMP = (1980, 1, 1, 0, 0, 0)
 CHECKPOINT_FORMAT = "crackfuse-checkpoint-v1"
 
 
+class CheckpointError(ValueError):
+    """Raised when a file does not decode as a checkpoint archive."""
+
+
 def save_checkpoint(path, named_tensors: dict, manifest: dict) -> None:
     """Write the archive to a temporary file beside path, flush and fsync it,
     then rename it over path, so a crash mid-save leaves the previous
@@ -195,13 +200,30 @@ def check_resume(manifest: dict, model_config: dict, train_config: dict) -> None
 
 
 def load_checkpoint(path):
-    with zipfile.ZipFile(path, "r") as z:
-        manifest = json.loads(z.read("manifest.json"))
-        tensors = {}
-        for entry in z.namelist():
-            if entry.startswith("tensors/") and entry.endswith(".mscm"):
-                name = entry[len("tensors/"):-len(".mscm")]
-                tensors[name] = tensor_from_bytes(z.read(entry))
+    """Read a checkpoint archive: (tensors by name, manifest dict).
+
+    Raises CheckpointError, naming path, when the file cannot be read or is
+    not a zip archive holding a manifest.json JSON object and MSCM tensors.
+    """
+    try:
+        with zipfile.ZipFile(path, "r") as z:
+            manifest = json.loads(z.read("manifest.json"))
+            tensors = {}
+            for entry in z.namelist():
+                if entry.startswith("tensors/") and entry.endswith(".mscm"):
+                    name = entry[len("tensors/"):-len(".mscm")]
+                    tensors[name] = tensor_from_bytes(z.read(entry))
+    # zipfile raises NotImplementedError for an unsupported compression method
+    # or version, RuntimeError for an encrypted entry and zlib.error for a
+    # corrupt deflate stream; ValueError covers JSON, UTF-8 and MSCM decoding
+    # (TensorFormatError) and a seek before the start of a file object;
+    # KeyError is a missing manifest.json
+    except (zipfile.BadZipFile, zipfile.LargeZipFile, zlib.error, NotImplementedError,
+            RuntimeError, KeyError, OSError, EOFError, ValueError) as e:
+        raise CheckpointError(f"checkpoint {path} is unreadable: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"checkpoint {path}: manifest.json holds a "
+                              f"{type(manifest).__name__}, not a JSON object")
     return tensors, manifest
 
 

@@ -47,17 +47,15 @@ def test_criterion_2_zoh_correctness():
     pair = ssm.discretize_zoh(np.array([[-1.0]]), np.array([[1.0]]),
                               np.array([[math.log(2.0)]]))
     err_closed = max(abs(pair.decay[0, 0, 0] - 0.5), abs(pair.gain[0, 0, 0] - 0.5))
-    # series vs exact right at the switching threshold, both signs
-    rels = []
-    for a0 in (-1.0, -7.3):
-        dt = np.array([[ssm.SERIES_THRESHOLD / abs(a0)]])
-        a = np.array([[a0]])
-        z = dt[..., None] * a
-        exact = np.expm1(z) / a
-        series = dt[..., None] * (1.0 + z / 2.0 + z * z / 6.0)
-        rels.append(float(np.max(np.abs(series - exact) / np.abs(exact))))
-    _report(2, err_closed <= 1e-12 and max(rels) <= 1e-10,
-            f"closed-form err {err_closed:.1e}, series-vs-exact rel {max(rels):.1e} "
+    # series vs exact just inside the switching threshold, for two decay rates
+    # as the two channels of one state-major a [N = 1, C = 2]
+    a = np.array([[-1.0, -7.3]])
+    dt = (ssm.SERIES_THRESHOLD / np.abs(a[0]) * (1.0 - 1e-9))[None]   # [L = 1, C = 2]
+    near = ssm.discretize_zoh(a, np.ones((1, 1)), dt)
+    exact = np.expm1(dt[..., None, :] * a) / a
+    rel = float(np.max(np.abs(near.g - exact) / np.abs(exact)))
+    _report(2, err_closed <= 1e-12 and near.small.all() and rel <= 1e-10,
+            f"closed-form err {err_closed:.1e}, series-vs-exact rel {rel:.1e} "
             f"at |dt*a| = {ssm.SERIES_THRESHOLD}")
 
 

@@ -248,6 +248,17 @@ def test_eval_names_extra_entry(dataset, tmp_path, capsys):
     assert "decoder.extra" in capsys.readouterr().err
 
 
+def test_eval_names_truncated_checkpoint(dataset, tmp_path, capsys):
+    assert run_cli("train", "--config", str(_run_config(dataset, tmp_path))) == 0
+    ckpt = tmp_path / "cut.ckpt"
+    ckpt.write_bytes((tmp_path / "ck" / "last.ckpt").read_bytes()[:100])
+    capsys.readouterr()
+    assert run_cli("eval", "--data", str(dataset), "--variant", "P_RGB",
+                   "--checkpoint", str(ckpt)) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "Traceback" not in err
+
+
 def test_eval_fused_variant_requires_sr_checkpoint(dataset, capsys):
     assert run_cli("eval", "--data", str(dataset), "--variant", "PRGB_plus_PIRprime") == 1
     assert "--sr-checkpoint" in capsys.readouterr().err

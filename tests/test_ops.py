@@ -125,7 +125,7 @@ def test_conv2d_matches_direct_sum(shape, kernel, rows, monkeypatch):
     of an odd height is partial)."""
     if rows is not None:
         wp = shape[-1] + 2 * (kernel[1] // 2)
-        monkeypatch.setattr(ops, "_CONV_BLOCK_BYTES", rows * 8 * shape[0] * 3 * wp)
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", rows * 8 * shape[0] * 3 * wp)
     rng = np.random.default_rng(sum(shape) * 10 + kernel[0] * 3 + kernel[1])
     x = rng.standard_normal(shape)
     x0 = x.copy()

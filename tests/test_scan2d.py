@@ -1,7 +1,10 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from crackfuse import scan2d, ssm
+from crackfuse import ops, scan2d, ssm
 from crackfuse.gradcheck import grad_check
 from crackfuse.trees import tree_flatten
 
@@ -166,19 +169,77 @@ def test_ss2d_batched_matches_per_direction_scans(parallel):
 @pytest.mark.parametrize("parallel", [False, True])
 def test_ss2d_runs_one_recurrence_each_way(parallel, monkeypatch):
     # the recurrences are looked up on the module at call time, so a wrapper
-    # installed there (as a tracer does) sees every call
+    # installed there (as a tracer does) sees every call: one per chunk
+    # forward, and per chunk a recompute and an adjoint backward
     calls = {"linear_recurrence_seq": 0, "linear_recurrence_par": 0}
     for name in calls:
-        def counted(a, u, _name=name, _fn=getattr(ssm, name)):
+        def counted(*args, _name=name, _fn=getattr(ssm, name), **kwargs):
             calls[_name] += 1
-            return _fn(a, u)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(ssm, name, counted)
     ps = [ssm.init_ssm_params(2, 2, np.random.default_rng(70 + i)) for i in range(4)]
     x = np.random.default_rng(71).standard_normal((2, 3, 5, 2))
-    y, vjp = scan2d.ss2d(x, ps, parallel=parallel)
-    vjp(np.ones_like(y))
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", 4 * 8 * (4 * 2 * 2 * 2))  # 4 steps: 15 = 4+4+4+3
+    n_chunks = 4
     used = "linear_recurrence_par" if parallel else "linear_recurrence_seq"
-    assert calls == {name: 2 if name == used else 0 for name in calls}
+    y, vjp = scan2d.ss2d(x, ps, parallel=parallel)
+    assert calls == {name: n_chunks if name == used else 0 for name in calls}
+    vjp(np.ones_like(y))
+    assert calls == {name: 3 * n_chunks if name == used else 0 for name in calls}
+
+
+def _step_bytes(x, ps):
+    """Bytes of one float64 [K, B, N, C] state step of ss2d's scan."""
+    return 8 * 4 * x.shape[0] * ps[0].state_dim * x.shape[-1]
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
+def test_ss2d_multi_chunk_matches_one_chunk(parallel, monkeypatch):
+    ps = _series_params([1])
+    x = np.random.default_rng(72).standard_normal((2, 5, 7, 3)) * 0.5
+    dy = np.random.default_rng(73).standard_normal(x.shape)
+    y1, vjp1 = scan2d.ss2d(x, ps, parallel=parallel)           # L = 35 fits one chunk
+    dx1, dps1 = vjp1(dy)
+    want = tree_flatten(dps1)
+    for steps in (1, 3, 34):                                   # 35 chunks; 11 + a 2-step one; 34 + 1
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", steps * _step_bytes(x, ps))
+        assert len(ssm._chunks(35, 4 * 2 * 2 * 3)) == -(-35 // steps)
+        y, vjp = scan2d.ss2d(x, ps, parallel=parallel)
+        dx, dps = vjp(dy)
+        assert _rel(y, y1) <= 1e-12 and _rel(dx, dx1) <= 1e-12, steps
+        got = tree_flatten(dps)
+        assert list(got) == list(want) and len(got) == 24
+        for name in got:
+            assert _rel(got[name], want[name]) <= 1e-12, (steps, name)
+    # finite differences through the chunk carries and the series branch
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", 2 * _step_bytes(x[:1], ps))
+    xs = x[:1, :2, :3]
+    assert len(ssm._chunks(6, 4 * 1 * 2 * 3)) == 3
+    rep = grad_check(functools.partial(scan2d.ss2d, parallel=parallel), [xs, ps], tol=1e-4,
+                     name="ss2d three chunks")
+    assert rep.passed, str(rep)
+
+
+def test_ss2d_memory_stays_below_one_state_array():
+    # C = 8, N = 16, B = 2 on a 32 x 32 grid: one [L, K, B, C, N] float64
+    # array of all the states is 8.4 MB; the chunked scan never forms one
+    ps = [ssm.init_ssm_params(8, 16, np.random.default_rng(80 + i)) for i in range(4)]
+    x = np.random.default_rng(81).standard_normal((2, 32, 32, 8))
+    one = 32 * 32 * 4 * 2 * 8 * 16 * 8
+    scan2d.ss2d(x, ps)  # first-call allocations (index tables, caches) stay out of the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        y, vjp = scan2d.ss2d(x, ps)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        vjp(np.ones_like(y))
+        bwd_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held < one, f"{held} bytes held by the output and the vjp"
+    assert peak < 2 * one and bwd_peak < 2 * one, (peak, bwd_peak)
 
 
 def _series_params(small_channels):
@@ -195,14 +256,14 @@ def test_ss2d_series_branch(small_channels, mask):
     ps = _series_params(small_channels)
     x = np.random.default_rng(61).standard_normal((2, 3, 4, 3)) * 0.5
     dt, b_t, _ = ssm.s6_project(x.reshape(-1, 3), ps[0])
-    a = ps[0].materialized_a()
+    a = ps[0].materialized_a().T                      # [N, C]
     pair = ssm.discretize_zoh(a, b_t, dt)
     assert {"mixed": pair.small.any() and not pair.small.all(), "all": pair.small.all(),
             "empty": not pair.small.any()}[mask]
     # both branches everywhere, then selected: the masked evaluation must agree
-    z = dt[..., None] * a
+    z = dt[..., None, :] * a
     both = np.where(np.abs(z) < ssm.SERIES_THRESHOLD,
-                    dt[..., None] * (1.0 + z / 2.0 + (z * z) / 6.0), np.expm1(z) / a)
+                    dt[..., None, :] * (1.0 + z / 2.0 + (z * z) / 6.0), np.expm1(z) / a)
     np.testing.assert_array_equal(pair.g, both)
     y, _ = scan2d.ss2d(x, ps)
     y_o, _, _ = _per_direction_oracle(x, ps, np.zeros_like(x))

@@ -59,9 +59,9 @@ def test_discretize_series_matches_exact_at_threshold():
     # evaluate both branches at |dt*a| = 1e-4 and compare
     a = np.array([[-1.0]])
     dt = np.array([[1e-4]])
-    z = dt[..., None] * a
+    z = dt[..., None, :] * a
     exact = np.expm1(z) / a
-    series = dt[..., None] * (1.0 + z / 2.0 + z * z / 6.0)
+    series = dt[..., None, :] * (1.0 + z / 2.0 + z * z / 6.0)
     rel = abs(exact - series) / abs(exact)
     assert rel.max() < 1e-10
 
@@ -75,7 +75,8 @@ def test_decay_in_unit_interval():
     p = make_params(3, 4, seed=5)
     x = np.random.default_rng(6).standard_normal((64, 3))
     dt, b_t, _ = ssm.s6_project(x, p)
-    pair = ssm.discretize_zoh(p.materialized_a(), b_t, dt)
+    pair = ssm.discretize_zoh(p.materialized_a().T, b_t, dt)
+    assert pair.decay.shape == (64, 4, 3)  # [L, N, C]
     assert np.all(pair.decay > 0) and np.all(pair.decay < 1)
 
 
@@ -144,9 +145,9 @@ def test_single_step_closed_form():
     p = make_params(2, 3, seed=11)
     x = np.random.default_rng(12).standard_normal((1, 1, 2))
     dt, b_t, c_t = ssm.s6_project(x, p)
-    pair = ssm.discretize_zoh(p.materialized_a(), b_t, dt)
-    h1 = pair.gain[0, 0] * x[0, 0][:, None]
-    expect = h1 @ c_t[0, 0] + p.skip * x[0, 0]
+    pair = ssm.discretize_zoh(p.materialized_a().T, b_t, dt)
+    h1 = pair.gain[0, 0] * x[0, 0]                      # [N, C]
+    expect = c_t[0, 0] @ h1 + p.skip * x[0, 0]
     y, _ = ssm.selective_scan_par(x, p)
     np.testing.assert_allclose(y[0, 0], expect, rtol=1e-12)
 
@@ -166,8 +167,8 @@ def test_bounded_state_property():
     rng = np.random.default_rng(16)
     x = rng.uniform(-1, 1, size=(256, 2))
     dt, b_t, _ = ssm.s6_project(x, p)
-    pair = ssm.discretize_zoh(p.materialized_a(), b_t, dt)
-    u = pair.gain * x[:, :, None]
+    pair = ssm.discretize_zoh(p.materialized_a().T, b_t, dt)
+    u = pair.gain * x[:, None, :]
     h = ssm.linear_recurrence_seq(pair.decay, u)
     bound = np.max(np.abs(u)) / (1.0 - pair.decay.max())
     assert np.max(np.abs(h)) <= bound + 1e-9

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -233,6 +234,42 @@ def test_checkpoint_save_failure_keeps_previous(tmp_path, monkeypatch):
     for k, v in old.items():
         assert np.array_equal(tensors[k], v)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
+
+
+def _zip_with(path, **entries):
+    with zipfile.ZipFile(path, "w") as z:
+        for name, payload in entries.items():
+            z.writestr(name.replace("__", "/"), payload)
+    return path
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda p: _zip_with(p, **{"manifest.json": "[1, 2]"}), "list, not a JSON object"),
+    (lambda p: _zip_with(p, **{"manifest.json": '"v1"'}), "str, not a JSON object"),
+    (lambda p: _zip_with(p, **{"manifest.json": "{"}), "unreadable"),
+    (lambda p: _zip_with(p, **{"tensors__w.mscm": b"MSCM"}), "manifest.json"),
+    (lambda p: _zip_with(p, **{"manifest.json": "{}", "tensors__w.mscm": b"MSCX\x02\x00"}),
+     "bad magic"),
+    (lambda p: p.write_bytes(b"not a zip archive") and p, "not a zip file"),
+    (lambda p: p, "No such file"),
+], ids=["list-manifest", "string-manifest", "bad-json", "no-manifest", "bad-tensor",
+        "not-zip", "missing"])
+def test_load_checkpoint_names_path_in_checkpoint_error(tmp_path, make, match):
+    path = make(tmp_path / "bad.ckpt")
+    with pytest.raises(train.CheckpointError, match=match) as err:
+        train.load_checkpoint(path)
+    assert str(path) in str(err.value)
+    assert isinstance(err.value, ValueError)
+
+
+def test_load_checkpoint_truncated_archive(tmp_path):
+    path = tmp_path / "last.ckpt"
+    train.save_checkpoint(path, {"w": np.arange(4.0)}, {"iteration": 1})
+    whole = path.read_bytes()
+    for keep in (0, 10, len(whole) // 2, len(whole) - 1):
+        path.write_bytes(whole[:keep])
+        with pytest.raises(train.CheckpointError, match=str(path)):
+            train.load_checkpoint(path)
 
 
 def test_resume_refuses_mismatched_run(tmp_path):
