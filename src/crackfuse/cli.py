@@ -20,7 +20,6 @@ import numpy as np
 
 from . import checks, data, metrics, segnet, sr, ssm, train
 from .tensor import save_tensor
-from .trees import tree_flatten
 
 
 class UsageError(Exception):
@@ -92,11 +91,6 @@ def load_run_config(path) -> dict:
     return validate_run_config(doc)
 
 
-def _load_sr(path):
-    tensors, manifest = train.load_checkpoint(path)
-    return sr.sr_from_checkpoint(tensors, manifest)
-
-
 def _load_split_samples(manifest):
     return [data.load_sample(manifest.root, i) for i in manifest.ids]
 
@@ -138,7 +132,7 @@ def cmd_sr_train(args):
     held_imgs = [s.ir for s in samples if s.id not in train_ids]
     cfg = sr.SrTrainConfig(iters=args.iters, lr=args.lr, seed=args.seed)
     model = sr.sr_train_selfsupervised(train_imgs, factor, cfg)
-    train.save_checkpoint(args.out, tree_flatten(model), sr.sr_manifest(model))
+    sr.save_sr_checkpoint(args.out, model)
     report = {
         "train": sr.evaluate_sr(model, train_imgs, factor),
         "heldout": sr.evaluate_sr(model, held_imgs, factor) if held_imgs else [],
@@ -162,7 +156,7 @@ def cmd_sr_train(args):
 
 def cmd_sr_apply(args):
     manifest = data.read_manifest(args.data)
-    model = _load_sr(args.checkpoint)
+    model = sr.load_sr_checkpoint(args.checkpoint)
     _prepare_out(args.out, args.force)
     for sid in manifest.ids:
         s = data.load_sample(manifest.root, sid)
@@ -196,7 +190,7 @@ def _make_sources(doc, manifest, samples, sr_model=None):
     if variant == "PRGB_plus_PIRprime" and sr_model is None:
         if not doc.get("sr_checkpoint"):
             raise UsageError("variant PRGB_plus_PIRprime requires sr_checkpoint in the config")
-        sr_model = _load_sr(doc["sr_checkpoint"])
+        sr_model = sr.load_sr_checkpoint(doc["sr_checkpoint"])
     table = data.materialize(samples, variant, sr_model=sr_model)
     tcfg = train.TrainConfig(**doc.get("train", {}))
     some_input = table[manifest.ids[0]][0]
@@ -231,23 +225,17 @@ def cmd_eval(args):
     manifest = data.read_manifest(args.data)
     samples = _load_split_samples(manifest)
     variant = args.variant or manifest.variant
-    sr_model = _load_sr(args.sr_checkpoint) if args.sr_checkpoint else None
+    sr_model = sr.load_sr_checkpoint(args.sr_checkpoint) if args.sr_checkpoint else None
     if variant == "PRGB_plus_PIRprime" and sr_model is None:
         raise UsageError("variant PRGB_plus_PIRprime requires --sr-checkpoint")
-    model_doc, tensors = {}, None
-    if args.checkpoint:
-        tensors, ck_manifest = train.load_checkpoint(args.checkpoint)
-        train.check_format(ck_manifest, train.CHECKPOINT_FORMAT)
-        model_doc = ck_manifest["model_config"]
+    stored = train.load_model_checkpoint(args.checkpoint) if args.checkpoint else None
     doc = validate_run_config({
-        "data_root": args.data, "variant": variant, "patch": args.patch, "model": model_doc,
+        "data_root": args.data, "variant": variant, "patch": args.patch,
+        "model": stored.cfg.to_dict() if stored else {},
         "train": {"batch_size": args.batch_size, "seed": args.seed},
     })
     cfg, tcfg, source = _make_sources(doc, manifest, samples, sr_model=sr_model)
-    model = segnet.init_model(cfg, data.named_rng(tcfg.seed, "init"))
-    if tensors is not None:
-        weights, _opt = train.split_checkpoint(tensors, segnet.flatten_weights(model))
-        model.weights = segnet.unflatten_weights(model, weights)
+    model = stored or segnet.init_model(cfg, data.named_rng(tcfg.seed, "init"))
     report = train.evaluate_model(model, source("val").eval_batches())
     print(json.dumps(report, sort_keys=True, indent=1))
     return 0

@@ -11,8 +11,7 @@ PSNR_LOG_CAP = 120.0
 class ConfusionMatrix:
     """Per-class TP/FP/FN/TN pixel counts, exact integer arithmetic.
 
-    Accumulation is additive across images; independently accumulated parts
-    merge associatively and commutatively.
+    Accumulation is additive across images.
     """
 
     def __init__(self, num_classes: int):
@@ -44,15 +43,6 @@ class ConfusionMatrix:
             self.fp[i] += fp
             self.fn[i] += fn
             self.tn[i] += total - tp - fp - fn
-        return self
-
-    def merge(self, other: "ConfusionMatrix"):
-        if other.num_classes != self.num_classes:
-            raise ValueError("class count mismatch")
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
-        self.tn += other.tn
         return self
 
     def iou(self):

@@ -28,15 +28,6 @@ def _softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def sigmoid(x):
-    s = _sigmoid(x)
-
-    def vjp(dy):
-        return (dy * s * (1.0 - s),)
-
-    return s, vjp
-
-
 def silu(x):
     """x * sigmoid(x), elementwise."""
     s = _sigmoid(x)
@@ -53,16 +44,6 @@ def relu(x):
 
     def vjp(dy):
         return (dy * (x > 0.0),)
-
-    return y, vjp
-
-
-def softplus(x):
-    y = _softplus(x)
-    s = _sigmoid(x)
-
-    def vjp(dy):
-        return (dy * s,)
 
     return y, vjp
 

@@ -9,8 +9,6 @@ deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import ssm
@@ -18,18 +16,9 @@ from . import ssm
 DIRECTIONS = ("LR", "TB", "RL", "BT")
 
 
-@dataclass
-class ScanOrder:
-    """A bijection between grid positions (row-major) and sequence slots."""
-
-    direction: str
-    height: int
-    width: int
-    perm: np.ndarray      # sequence slot i reads grid position perm[i]
-    inv: np.ndarray       # grid position p lands at sequence slot inv[p]
-
-
-def scan_order(direction: str, height: int, width: int) -> ScanOrder:
+def scan_order(direction: str, height: int, width: int) -> np.ndarray:
+    """The bijection between grid positions (row-major) and sequence slots:
+    sequence slot i reads grid position perm[i]."""
     if height < 1 or width < 1:
         raise ValueError(f"grid extents must be >= 1, got {height}x{width}")
     n = height * width
@@ -43,14 +32,13 @@ def scan_order(direction: str, height: int, width: int) -> ScanOrder:
         perm = np.arange(n).reshape(height, width).T.reshape(-1)[::-1].copy()
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    inv = np.argsort(perm)
-    return ScanOrder(direction=direction, height=height, width=width, perm=perm, inv=inv)
+    return perm
 
 
 def _indices(height, width):
     """[4, L] gather (perm) and scatter (inv) indices, one row per direction."""
-    orders = [scan_order(d, height, width) for d in DIRECTIONS]
-    return np.stack([o.perm for o in orders]), np.stack([o.inv for o in orders])
+    perm = np.stack([scan_order(d, height, width) for d in DIRECTIONS])
+    return perm, np.argsort(perm, axis=1)
 
 
 def cross_scan(x):

@@ -191,10 +191,6 @@ def unflatten_weights(model: SegModel, flat: dict) -> ModelWeights:
     return tree_unflatten(model.weights, flat)
 
 
-def parameter_count(model: SegModel) -> int:
-    return sum(int(a.size) for _, a in tree_flatten(model.weights).items())
-
-
 # --------------------------------------------------------------------------
 # Forward / backward pieces
 

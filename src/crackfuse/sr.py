@@ -16,7 +16,8 @@ import numpy as np
 
 from . import metrics
 from .ops import clamp01, conv2d, relu, resize_bicubic
-from .train import adamw_step, check_format, init_optimizer
+from .train import (adamw_step, init_optimizer, manifest_field, restore_checkpoint,
+                    save_checkpoint)
 from .trees import tree_flatten, tree_unflatten
 
 SR_FORMAT = "crackfuse-sr-v1"
@@ -37,10 +38,6 @@ class SrModel:
     scale_den: int = 1
     initial_loss: float = math.nan
     final_loss: float = math.nan
-
-    @property
-    def scale(self) -> Fraction:
-        return Fraction(self.scale_num, self.scale_den)
 
 
 @dataclass
@@ -208,24 +205,37 @@ def fuse_channels(rgb, ir_sr):
     return np.concatenate([rgb, ir_sr], axis=0)
 
 
-# checkpoint plumbing: the weights are tree_flatten(model) --------------------
+# checkpoint archive: the weights are tree_flatten(model) ---------------------
 
 
-def sr_manifest(model: SrModel) -> dict:
-    return {
+def save_sr_checkpoint(path, model: SrModel) -> None:
+    save_checkpoint(path, tree_flatten(model), {
         "format": SR_FORMAT,
         "scale": [model.scale_num, model.scale_den],
         "initial_loss": model.initial_loss,
         "final_loss": model.final_loss,
-    }
+    })
 
 
-def sr_from_checkpoint(tensors: dict, manifest: dict) -> SrModel:
-    check_format(manifest, SR_FORMAT)
-    num, den = manifest["scale"]
-    return SrModel(
-        **tensors,  # the tree_flatten(model) keys are the weight field names
-        scale_num=num, scale_den=den,
-        initial_loss=manifest.get("initial_loss", math.nan),
-        final_loss=manifest.get("final_loss", math.nan),
-    )
+def _is_scale(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(type(v) is int and v >= 1 for v in value))
+
+
+def _stored_model(manifest: dict, tensors: dict) -> SrModel:
+    """The tree an SR archive must hold: init_sr_model at the stored scale,
+    as wide as the stored conv1_w, since no manifest field records the width."""
+    num, den = manifest_field(manifest, "scale", _is_scale,
+                              "a [numerator, denominator] pair of positive integers")
+    conv1_w = tensors.get("conv1_w")  # restore_checkpoint names it if missing or misshapen
+    hidden = conv1_w.shape[0] if conv1_w is not None and conv1_w.ndim == 4 else 1
+    model = init_sr_model(Fraction(num, den), np.random.default_rng(0), hidden=hidden)
+    return replace(model, initial_loss=float(manifest.get("initial_loss", math.nan)),
+                   final_loss=float(manifest.get("final_loss", math.nan)))
+
+
+def load_sr_checkpoint(path) -> SrModel:
+    """The SR model stored at path by save_sr_checkpoint; any other file
+    raises CheckpointError naming path."""
+    model, _opt, _manifest = restore_checkpoint(path, SR_FORMAT, _stored_model)
+    return model

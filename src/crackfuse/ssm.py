@@ -92,19 +92,14 @@ def zeros_like_params(p: SsmParams) -> SsmParams:
     )
 
 
-def _project(x, p: SsmParams):
-    """s6_project that also returns the softplus argument, which the scan's
-    backward pass needs for softplus' = sigmoid(pre)."""
+def s6_project(x, p: SsmParams):
+    """Per-step parameterization: (pre, dt, input gains, readout) from the input.
+
+    x: [L, C] (or [B, L, C]). dt = softplus(pre) is strictly positive; the
+    scan's backward pass needs pre for softplus' = sigmoid(pre).
+    """
     pre = x @ p.dt_w + p.dt_b
     return pre, _softplus(pre), x @ p.b_w, x @ p.c_w
-
-
-def s6_project(x, p: SsmParams):
-    """Per-step parameterization: (dt, input gains, readout) from the input.
-
-    x: [L, C] (or [B, L, C]). dt is strictly positive via softplus.
-    """
-    return _project(x, p)[1:]
 
 
 @dataclass
@@ -284,7 +279,7 @@ def _selective_scan(x, params, parallel: bool):
         return np.zeros_like(x), vjp_empty
 
     ps = _stacked(params)
-    pre, dt, b_t, c_t = _project(x, ps)          # [K,B,L,C], [K,B,L,N] x2
+    pre, dt, b_t, c_t = s6_project(x, ps)        # [K,B,L,C], [K,B,L,N] x2
     a_cn = ps.materialized_a()                   # [K,C,N]
     a = np.swapaxes(a_cn, 1, 2)[:, None]         # [K,1,N,C]: broadcasts against [T,K,B,N,C]
     skip = ps.skip[:, 0]                         # [K,1,C]

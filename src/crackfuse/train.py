@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, segnet
-from .tensor import tensor_from_bytes, tensor_to_bytes
+from .tensor import TensorFormatError, check_tensor, tensor_from_bytes, tensor_to_bytes
+from .trees import tree_flatten, tree_unflatten
 
 
 @dataclass
@@ -74,29 +75,6 @@ class OptimizerState:
     m: dict
     v: dict
     step: int = 0
-
-
-def split_checkpoint(tensors: dict, names):
-    """Split checkpoint tensors into (weights, OptimizerState at step 0) for
-    a model whose weights are named by names.
-
-    Raises ValueError naming every entry that is not one of those weights or
-    its opt.m.*/opt.v.* moments, and every moment missing for a weight.
-    """
-    extra = [k for k in tensors
-             if (k[len("opt.m."):] if k.startswith(("opt.m.", "opt.v.")) else k) not in names]
-    if extra:
-        raise ValueError(f"checkpoint has entries this model does not have: {', '.join(extra)}")
-    params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
-    opt = OptimizerState(
-        m={k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")},
-        v={k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")},
-    )
-    missing = [f"opt.{moment}.{k}" for moment, stored in (("m", opt.m), ("v", opt.v))
-               for k in params if k not in stored]
-    if missing:
-        raise ValueError(f"checkpoint has no optimizer state for: {', '.join(missing)}")
-    return params, opt
 
 
 def init_optimizer(params: dict) -> OptimizerState:
@@ -178,19 +156,12 @@ def save_checkpoint(path, named_tensors: dict, manifest: dict) -> None:
         raise
 
 
-def check_format(manifest: dict, expected: str) -> None:
-    """Refuse a checkpoint written for another kind of model."""
-    found = manifest.get("format")
-    if found != expected:
-        raise ValueError(f"expected a {expected} checkpoint, found format {found!r}")
-
-
 def check_resume(manifest: dict, model_config: dict, train_config: dict) -> None:
     """Refuse to resume a run whose model or schedule differs from the one
     that wrote the checkpoint. The checkpoint directory may differ."""
     diffs = []
     for section, current in (("model_config", model_config), ("train_config", train_config)):
-        saved = manifest.get(section, {})
+        saved = manifest_field(manifest, section, lambda v: isinstance(v, dict), "a JSON object")
         for key in sorted(set(saved) | set(current)):
             if key != "checkpoint_dir" and saved.get(key) != current.get(key):
                 diffs.append(f"{section}.{key} is {saved.get(key)!r} in the checkpoint, "
@@ -225,6 +196,75 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path}: manifest.json holds a "
                               f"{type(manifest).__name__}, not a JSON object")
     return tensors, manifest
+
+
+def manifest_field(manifest: dict, key: str, valid, what: str):
+    """manifest[key] if valid(value) holds; otherwise ValueError saying the
+    field is missing or is not what it should be."""
+    if key not in manifest:
+        raise ValueError(f"manifest has no {key!r}")
+    value = manifest[key]
+    if not valid(value):
+        raise ValueError(f"manifest {key!r} is {value!r}, not {what}")
+    return value
+
+
+def restore_checkpoint(path, fmt: str, template_of):
+    """The one path from a checkpoint archive of format fmt back to weights.
+
+    template_of(manifest, tensors) decodes the manifest fields its reader
+    needs and returns the weight tree the archive must hold: every leaf,
+    finite and of the leaf's shape, plus its opt.m./opt.v. moments for every
+    leaf or for none. Returns (weights, opt, manifest), opt an OptimizerState
+    at step 0 or None. Every refusal is a CheckpointError naming path.
+    """
+    tensors, manifest = load_checkpoint(path)
+    found = manifest.get("format")
+    if found != fmt:
+        raise CheckpointError(f"checkpoint {path}: expected a {fmt} checkpoint, "
+                              f"found format {found!r}")
+    try:
+        template = template_of(manifest, tensors)
+        names = tree_flatten(template)
+        extra = [k for k in tensors
+                 if (k[len("opt.m."):] if k.startswith(("opt.m.", "opt.v.")) else k) not in names]
+        if extra:
+            raise ValueError(f"entries this model does not have: {', '.join(extra)}")
+        for name, t in tensors.items():
+            try:
+                check_tensor(t)
+            except TensorFormatError as e:
+                raise ValueError(f"entry {name}: {e}") from None
+        opt = None
+        if any(k.startswith("opt.") for k in tensors):
+            missing = [f"opt.{moment}.{k}" for moment in "mv" for k in names
+                       if f"opt.{moment}.{k}" not in tensors]
+            if missing:
+                raise ValueError(f"no optimizer state for: {', '.join(missing)}")
+            opt = OptimizerState(m=tree_flatten(tree_unflatten(template, tensors, "opt.m")),
+                                 v=tree_flatten(tree_unflatten(template, tensors, "opt.v")))
+        return tree_unflatten(template, tensors), opt, manifest
+    # ValueError is a refused entry or field; the others are what a model
+    # builder raises for stored config values of the wrong type or range
+    except (ValueError, TypeError, LookupError, ArithmeticError) as e:
+        raise CheckpointError(f"checkpoint {path}: {e}") from e
+
+
+def load_model_checkpoint(path) -> segnet.SegModel:
+    """The segmenter stored at path, built from its stored model_config; the
+    optimizer moments, if the archive holds them, are not needed."""
+    model = None
+
+    def template_of(manifest, _tensors):
+        nonlocal model
+        stored = manifest_field(manifest, "model_config", lambda v: isinstance(v, dict),
+                                "a JSON object")
+        model = segnet.init_model(segnet.ModelConfig.from_dict(stored), np.random.default_rng(0))
+        return model.weights
+
+    weights, _opt, _manifest = restore_checkpoint(path, CHECKPOINT_FORMAT, template_of)
+    model.weights = weights
+    return model
 
 
 # --------------------------------------------------------------------------
@@ -274,18 +314,25 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
     cfg.total_iters semantics, so a later resume continues the same curve).
     """
     result = TrainResult()
-    params = segnet.flatten_weights(model)
-    opt = init_optimizer(params)
     start = 0
-    if resume_from is not None:
-        tensors, manifest = load_checkpoint(resume_from)
-        check_format(manifest, CHECKPOINT_FORMAT)
-        check_resume(manifest, model.cfg.to_dict(), cfg.to_dict())
-        start = int(manifest["iteration"])
-        params, opt = split_checkpoint(tensors, params)
+    if resume_from is None:
+        opt = init_optimizer(segnet.flatten_weights(model))
+    else:
+        def template_of(manifest, _tensors):
+            nonlocal start
+            check_resume(manifest, model.cfg.to_dict(), cfg.to_dict())
+            start = manifest_field(manifest, "iteration", lambda v: type(v) is int and v >= 0,
+                                   "a non-negative integer")  # a JSON true is no count
+            result.best_miou = float(manifest.get("best_miou", -1.0))
+            return model.weights
+
+        weights, opt, _manifest = restore_checkpoint(resume_from, CHECKPOINT_FORMAT, template_of)
+        if opt is None:
+            raise CheckpointError(f"checkpoint {resume_from} holds no optimizer state, "
+                                  f"which a resume needs")
         opt.step = start
-        result.best_miou = float(manifest.get("best_miou", -1.0))
-    model.weights = segnet.unflatten_weights(model, params)
+        model.weights = weights
+    params = segnet.flatten_weights(model)
 
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
     result.last_path = os.path.join(cfg.checkpoint_dir, "last.ckpt")

@@ -73,6 +73,15 @@ def test_sr_train_apply_fuse_chain(dataset, tmp_path, capsys):
         img = data.load_image(sr_dir / f"{sid}.ppm")
         assert img.shape == (3, 48, 48)  # RGB dims for every id
 
+    tensors, sr_manifest = train.load_checkpoint(ckpt)
+    bad_ckpt = tmp_path / "bad_sr.ckpt"
+    train.save_checkpoint(bad_ckpt, {**tensors, "conv1_b": np.zeros(1)}, sr_manifest)
+    capsys.readouterr()
+    assert run_cli("sr-apply", "--data", str(dataset), "--checkpoint", str(bad_ckpt),
+                   "--out", str(tmp_path / "irsr_bad")) == 2
+    err = capsys.readouterr().err
+    assert str(bad_ckpt) in err and "conv1_b" in err and "Traceback" not in err
+
     fused_dir = tmp_path / "fused"
     assert run_cli("fuse", "--data", str(dataset), "--sr-dir", str(sr_dir),
                    "--out", str(fused_dir)) == 0
@@ -147,6 +156,15 @@ def test_eval_checkpoint_roundtrip(dataset, tmp_path, capsys):
                    "--checkpoint", str(ckpt)) == 0
     rep = json.loads(capsys.readouterr().out)
     assert 0.0 <= rep["miou"] <= 1.0
+    # weights only, as a model exported without its optimizer state
+    tensors, manifest = train.load_checkpoint(ckpt)
+    weights_only = tmp_path / "weights.ckpt"
+    train.save_checkpoint(weights_only, {k: v for k, v in tensors.items()
+                                         if not k.startswith("opt.")},
+                          {k: manifest[k] for k in ("format", "iteration", "model_config")})
+    assert run_cli("eval", "--data", str(dataset), "--variant", "P_RGB",
+                   "--checkpoint", str(weights_only)) == 0
+    assert json.loads(capsys.readouterr().out) == rep
 
 
 def test_eval_refuses_sr_checkpoint_as_model(dataset, tmp_path, capsys):
@@ -246,6 +264,16 @@ def test_eval_names_extra_entry(dataset, tmp_path, capsys):
     assert run_cli("eval", "--data", str(dataset), "--variant", "P_RGB",
                    "--checkpoint", str(ckpt)) == 2
     assert "decoder.extra" in capsys.readouterr().err
+    # a stored model_config key this version does not know is the archive's
+    # fault (exit 2), not the user's flags' (exit 1)
+    tensors, manifest = train.load_checkpoint(tmp_path / "ck" / "last.ckpt")
+    ckpt = tmp_path / "bad_config.ckpt"
+    train.save_checkpoint(ckpt, tensors,
+                          {**manifest, "model_config": {**manifest["model_config"], "foo": 1}})
+    assert run_cli("eval", "--data", str(dataset), "--variant", "P_RGB",
+                   "--checkpoint", str(ckpt)) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "foo" in err and "Traceback" not in err
 
 
 def test_eval_names_truncated_checkpoint(dataset, tmp_path, capsys):

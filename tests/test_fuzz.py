@@ -1,5 +1,7 @@
-"""Property tests: every byte string either decodes or raises its format's
-named error (MSCM tensors, checkpoint archives)."""
+"""Property tests: every input either decodes or raises its format's named
+error (MSCM tensors, checkpoint archives and their manifests, PPM/PGM
+images)."""
+import dataclasses
 import io
 import struct
 
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crackfuse import train
+from crackfuse import segnet, sr, train
+from crackfuse.data import ImageParseError, load_image, load_mask, save_image, save_mask
 from crackfuse.tensor import MAGIC, TensorFormatError, tensor_from_bytes
+from crackfuse.trees import tree_flatten
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +92,112 @@ def test_tensor_random_bytes(data):
     except TensorFormatError:
         return
     assert isinstance(arr, np.ndarray) and arr.dtype in (np.float32, np.float64)
+
+
+# --------------------------------------------------------------------------
+# manifest fields through restore_checkpoint
+
+# no scan blocks (depth 0), so an archive has few entries to write and read
+_CFG = segnet.ModelConfig(in_channels=3, embed_dims=(4, 8), depths=(0, 0), decoder_dim=4)
+_TCFG = train.TrainConfig(total_iters=4, warmup_iters=1)
+# small values only: a stored config is built before its shapes are checked
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(-2, 9) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_MODEL_CONFIG = st.one_of(
+    _JSON,
+    st.builds(lambda key, value: {**_CFG.to_dict(), key: value},
+              st.sampled_from([f.name for f in dataclasses.fields(segnet.ModelConfig)] + ["foo"]),
+              _JSON),
+    st.just(_CFG.to_dict()))
+_FORMAT = st.one_of(st.sampled_from([train.CHECKPOINT_FORMAT, sr.SR_FORMAT]), _JSON)
+_SCALE = st.one_of(st.lists(st.integers(-1, 4), min_size=2, max_size=2),
+                   st.lists(st.integers(-1, 4), max_size=3), _JSON)
+
+
+@pytest.fixture(scope="module")
+def weights(tmp_path_factory):
+    """Where to write, and the tensors of a segmenter archive (with moments)
+    and of an SR archive."""
+    model = segnet.flatten_weights(segnet.init_model(_CFG, np.random.default_rng(0)))
+    named = {**model, **{f"opt.{moment}.{k}": np.zeros_like(v)
+                         for moment in "mv" for k, v in model.items()}}
+    sr_named = tree_flatten(sr.init_sr_model(2, np.random.default_rng(0), hidden=4))
+    return tmp_path_factory.mktemp("manifests"), named, sr_named
+
+
+def _restores_or_checkpoint_error(read, path):
+    try:
+        read(path)
+    except train.CheckpointError as e:
+        assert str(path) in str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fmt=st.one_of(st.just(train.CHECKPOINT_FORMAT), _FORMAT),
+       iteration=st.one_of(st.integers(-2, 5), _JSON), model_config=_MODEL_CONFIG,
+       sr_fmt=st.one_of(st.just(sr.SR_FORMAT), _FORMAT), scale=_SCALE)
+@example(fmt=train.CHECKPOINT_FORMAT, iteration=2, model_config=_CFG.to_dict(),
+         sr_fmt=sr.SR_FORMAT, scale=[2, 1])  # every reader restores this one
+def test_manifest_fields_restore_or_raise_checkpoint_error(weights, fmt, iteration, model_config,
+                                                           sr_fmt, scale):
+    root, named, sr_named = weights
+    train.save_checkpoint(root / "model.ckpt", named, {
+        "format": fmt, "iteration": iteration, "model_config": model_config,
+        "train_config": _TCFG.to_dict(), "best_miou": -1.0})
+    train.save_checkpoint(root / "sr.ckpt", sr_named, {"format": sr_fmt, "scale": scale})
+
+    def resume(path):
+        train.train(segnet.init_model(_CFG, np.random.default_rng(0)), None,
+                    dataclasses.replace(_TCFG, checkpoint_dir=str(root / "ck")),
+                    resume_from=path, stop_after=0)
+
+    _restores_or_checkpoint_error(resume, root / "model.ckpt")
+    _restores_or_checkpoint_error(train.load_model_checkpoint, root / "model.ckpt")
+    _restores_or_checkpoint_error(sr.load_sr_checkpoint, root / "sr.ckpt")
+
+
+# --------------------------------------------------------------------------
+# PPM/PGM images
+
+
+@pytest.fixture(scope="module")
+def netpbm(tmp_path_factory):
+    """Where to write, and the bytes of a small valid P6 image and P5 mask."""
+    root = tmp_path_factory.mktemp("netpbm")
+    rng = np.random.default_rng(0)
+    save_image(root / "img.ppm", rng.uniform(size=(3, 3, 4)))
+    save_mask(root / "mask.pgm", rng.integers(0, 2, (3, 4)))
+    return root, [(root / name).read_bytes() for name in ("img.ppm", "mask.pgm")]
+
+
+_HEADER_NUMBER = st.one_of(st.integers(-1, 5), st.just(255), st.integers(0, 2**70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(choice=st.sampled_from(["image", "mask", "header", "noise"]),
+       noise=st.binary(max_size=80),
+       edits=st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 255)), max_size=6),
+       keep=st.floats(0.0, 1.0), magic=st.sampled_from([b"P5", b"P6"]),
+       header=st.tuples(_HEADER_NUMBER, _HEADER_NUMBER, _HEADER_NUMBER))
+def test_image_bytes_decode_or_image_parse_error(netpbm, choice, noise, edits, keep, magic,
+                                                 header):
+    root, valid = netpbm
+    if choice in ("image", "mask"):  # a valid file, mutated and cut
+        buf = bytearray(valid[choice == "mask"])
+        for pos, value in edits:
+            buf[pos % len(buf)] = value
+        buf = bytes(buf[: round(keep * len(buf))])
+    elif choice == "header":  # width, height and maxval drawn, then random bytes
+        buf = magic + b"\n%d %d\n%d\n" % header + noise
+    else:
+        buf = noise
+    path = root / "fuzz.pnm"
+    path.write_bytes(buf)
+    for load in (load_image, load_mask):
+        try:
+            load(path)
+        except ImageParseError:
+            pass

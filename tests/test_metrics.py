@@ -52,18 +52,6 @@ def test_additivity_over_images():
     assert np.array_equal(cm1.tn, cm2.tn)
 
 
-def test_merge_associative_commutative():
-    rng = np.random.default_rng(1)
-    parts = []
-    for _ in range(3):
-        cm = ConfusionMatrix(2)
-        cm.add(rng.integers(0, 2, (5, 5)), rng.integers(0, 2, (5, 5)))
-        parts.append(cm)
-    ab = ConfusionMatrix(2).merge(parts[0]).merge(parts[1]).merge(parts[2])
-    ba = ConfusionMatrix(2).merge(parts[2]).merge(parts[1]).merge(parts[0])
-    assert np.array_equal(ab.tp, ba.tp) and np.array_equal(ab.tn, ba.tn)
-
-
 def test_swap_symmetry():
     rng = np.random.default_rng(2)
     pred = rng.integers(0, 2, (8, 8))

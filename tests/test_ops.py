@@ -223,8 +223,6 @@ def test_gradients_random_shapes(trial):
     x = rng.standard_normal((1, c, h, w))
     checks = [
         ("silu", ops.silu, [x]),
-        ("softplus", ops.softplus, [x]),
-        ("sigmoid", ops.sigmoid, [x]),
         ("layer_norm", ops.layer_norm,
          [rng.standard_normal((h, w)), rng.standard_normal(w), rng.standard_normal(w)]),
         ("linear", ops.linear,

@@ -211,10 +211,10 @@ def _expected_param_count(cfg: segnet.ModelConfig):
 
 
 def test_parameter_count_closed_form():
-    model = segnet.init_model(TOY, rng(30))
-    assert segnet.parameter_count(model) == _expected_param_count(TOY)
-    model2 = segnet.init_model(TINY, rng(31))
-    assert segnet.parameter_count(model2) == _expected_param_count(TINY)
+    for cfg, seed in ((TOY, 30), (TINY, 31)):
+        model = segnet.init_model(cfg, rng(seed))
+        count = sum(a.size for a in tree_flatten(model.weights).values())
+        assert count == _expected_param_count(cfg)
 
 
 def test_no_dead_parameters_toy_config():

@@ -165,12 +165,13 @@ def test_training_scale_protocol_dims():
         assert rec.shape == img.shape
 
 
-def test_checkpoint_roundtrip():
-    m = sr.sr_train_selfsupervised([smooth_image(70)], 2,
+def test_checkpoint_roundtrip(tmp_path):
+    m = sr.sr_train_selfsupervised([smooth_image(70)], Fraction(5, 2),
                                    sr.SrTrainConfig(iters=5, lr=1e-3, hidden=4))
-    named = tree_flatten(m)
-    manifest = sr.sr_manifest(m)
-    m2 = sr.sr_from_checkpoint(named, manifest)
-    assert np.array_equal(m.conv2_w, m2.conv2_w)
-    assert m2.scale == Fraction(2)
-    assert m2.final_loss == m.final_loss
+    path = tmp_path / "sr.ckpt"
+    sr.save_sr_checkpoint(path, m)
+    m2 = sr.load_sr_checkpoint(path)
+    for (n1, a), (n2, b) in zip(tree_flatten(m).items(), tree_flatten(m2).items()):
+        assert n1 == n2 and np.array_equal(a, b)
+    assert (m2.scale_num, m2.scale_den) == (5, 2)
+    assert (m2.initial_loss, m2.final_loss) == (m.initial_loss, m.final_loss)

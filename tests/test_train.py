@@ -6,7 +6,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from crackfuse import data, segnet, train
+from crackfuse import data, segnet, sr, train
 from crackfuse.gradcheck import grad_check
 from crackfuse.trees import tree_flatten
 
@@ -282,6 +282,88 @@ def test_resume_refuses_mismatched_run(tmp_path):
         train.train(model_b, tsrc_b, tcfg_b, resume_from=half.last_path)
     assert "eval_interval" in str(err.value)
     assert "checkpoint_dir" not in str(err.value)
+
+
+RESUME_CFG = train.TrainConfig(total_iters=4, batch_size=2, warmup_iters=1)
+
+
+@pytest.fixture(scope="module")
+def archives(tmp_path_factory):
+    """A segmenter archive as train writes it mid-run, and an SR archive."""
+    root = tmp_path_factory.mktemp("archives")
+    weights = segnet.flatten_weights(segnet.init_model(CFG3, np.random.default_rng(0)))
+    named = {**weights, **{f"opt.{moment}.{k}": np.zeros_like(v)
+                           for moment in "mv" for k, v in weights.items()}}
+    train.save_checkpoint(root / "model.ckpt", named, {
+        "format": train.CHECKPOINT_FORMAT, "iteration": 2, "model_config": CFG3.to_dict(),
+        "train_config": RESUME_CFG.to_dict(), "best_miou": -1.0})
+    sr.save_sr_checkpoint(root / "sr.ckpt", sr.init_sr_model(2, np.random.default_rng(0), hidden=4))
+    train.load_model_checkpoint(root / "model.ckpt")
+    sr.load_sr_checkpoint(root / "sr.ckpt")
+    return {"model": root / "model.ckpt", "sr": root / "sr.ckpt"}
+
+
+def _resume(path):
+    train.train(segnet.init_model(CFG3, np.random.default_rng(0)), None, RESUME_CFG,
+                resume_from=path)
+
+
+_READERS = {"resume": _resume, "eval": train.load_model_checkpoint,
+            "sr": sr.load_sr_checkpoint}
+
+
+def _without(*prefixes):
+    return lambda t, m: ({k: v for k, v in t.items() if not k.startswith(prefixes)}, m)
+
+
+def _with_entry(name, value):
+    return lambda t, m: ({**t, name: value}, m)
+
+
+def _with_field(key, value):
+    return lambda t, m: (t, {**m, key: value})
+
+
+def _without_field(key):
+    return lambda t, m: (t, {k: v for k, v in m.items() if k != key})
+
+
+_BAD_ARCHIVES = [
+    # id, reader, edit of (tensors, manifest), what the error names besides the path
+    ("wrong-format", "resume", _with_field("format", sr.SR_FORMAT),
+     [train.CHECKPOINT_FORMAT, sr.SR_FORMAT]),
+    ("extra-entry", "eval", _with_entry("decoder.extra", np.zeros(3)), ["decoder.extra"]),
+    ("missing-entry", "eval", _without("decoder.fuse.w"), ["decoder.fuse.w"]),
+    ("misshapen-entry", "sr", _with_entry("conv1_b", np.zeros(1)), ["conv1_b", "(1,)"]),
+    ("misshapen-moment", "resume", _with_entry("opt.m.decoder.fuse.b", np.zeros(1)),
+     ["opt.m.decoder.fuse.b"]),
+    ("partial-moments", "resume", _without("opt.v.decoder.classifier.b"),
+     ["opt.v.decoder.classifier.b"]),
+    ("resume-without-moments", "resume", _without("opt."), ["optimizer state"]),
+    ("non-finite-entry", "eval", _with_entry("decoder.classifier.b", np.array([0.0, np.nan])),
+     ["decoder.classifier.b", "non-finite"]),
+    ("no-iteration", "resume", _without_field("iteration"), ["'iteration'"]),
+    ("string-iteration", "resume", _with_field("iteration", "x"), ["'iteration'"]),
+    ("list-model-config", "resume", _with_field("model_config", ["a", 1]), ["'model_config'"]),
+    ("no-model-config", "eval", _without_field("model_config"), ["'model_config'"]),
+    ("unknown-model-key", "eval",
+     lambda t, m: (t, {**m, "model_config": {**m["model_config"], "foo": 1}}), ["foo"]),
+    ("no-scale", "sr", _without_field("scale"), ["'scale'"]),
+    ("zero-denominator", "sr", _with_field("scale", [2, 0]), ["'scale'"]),
+    ("string-scale", "sr", _with_field("scale", "2"), ["'scale'"]),
+]
+
+
+@pytest.mark.parametrize("reader,edit,names", [case[1:] for case in _BAD_ARCHIVES],
+                         ids=[case[0] for case in _BAD_ARCHIVES])
+def test_restore_checkpoint_refuses_bad_archive(tmp_path, archives, reader, edit, names):
+    tensors, manifest = edit(*train.load_checkpoint(archives["sr" if reader == "sr" else "model"]))
+    path = tmp_path / "bad.ckpt"
+    train.save_checkpoint(path, tensors, manifest)
+    with pytest.raises(train.CheckpointError) as err:
+        _READERS[reader](path)
+    for text in [str(path), *names]:
+        assert text in str(err.value)
 
 
 def test_training_logs_jsonl(tmp_path):
