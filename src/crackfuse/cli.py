@@ -66,7 +66,14 @@ _TOP_KEYS = {"data_root", "variant", "sr_checkpoint", "patch", "log_path", "mode
 
 
 def validate_run_config(doc: dict) -> dict:
-    """Schema check; unknown keys anywhere are rejected by name."""
+    """Schema check; unknown keys anywhere are rejected by name. The values
+    under model and train are checked where their configs are built
+    (_make_sources)."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"config must be a JSON object, got {type(doc).__name__}")
+    for section in ("model", "train"):
+        if not isinstance(doc.get(section, {}), dict):
+            raise UsageError(f"config {section!r} must be a JSON object")
     bad = sorted(set(doc) - _TOP_KEYS)
     bad += sorted(f"model.{k}" for k in set(doc.get("model", {})) - _MODEL_KEYS)
     bad += sorted(f"train.{k}" for k in set(doc.get("train", {})) - _TRAIN_KEYS)
@@ -191,11 +198,20 @@ def _make_sources(doc, manifest, samples, sr_model=None):
         if not doc.get("sr_checkpoint"):
             raise UsageError("variant PRGB_plus_PIRprime requires sr_checkpoint in the config")
         sr_model = sr.load_sr_checkpoint(doc["sr_checkpoint"])
+    try:
+        tcfg = train.TrainConfig(**doc.get("train", {}))
+    except ValueError as e:
+        raise UsageError(f"config train.{e}") from None
     table = data.materialize(samples, variant, sr_model=sr_model)
-    tcfg = train.TrainConfig(**doc.get("train", {}))
     some_input = table[manifest.ids[0]][0]
-    cfg = segnet.ModelConfig.from_dict({"in_channels": some_input.shape[0],
-                                        **doc.get("model", {})})
+    try:
+        cfg = segnet.ModelConfig.from_dict({"in_channels": some_input.shape[0],
+                                            **doc.get("model", {})})
+    except ValueError as e:
+        raise UsageError(f"config model.{e}") from None
+    if cfg.in_channels != some_input.shape[0]:
+        raise UsageError(f"config model.in_channels is {cfg.in_channels}, but variant "
+                         f"{variant} has {some_input.shape[0]} channels")
     patch = _fit_patch(doc.get("patch", 48), some_input.shape[-2:], cfg.grid_divisor)
 
     def source(split):

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import sr as sr_mod
 from .ops import resize_bicubic, resize_nearest
+from .train import manifest_field
 
 VARIANTS = ("p_RGB", "P_RGB", "pRGB_plus_PIR", "PRGB_plus_PIRprime")
 VARIANT_CHANNELS = {"p_RGB": 3, "P_RGB": 3, "pRGB_plus_PIR": 6, "PRGB_plus_PIRprime": 6}
@@ -359,12 +360,52 @@ def write_manifest(manifest: DatasetManifest):
         json.dump(doc, f, sort_keys=True, indent=1)
 
 
+class ManifestError(ValueError):
+    """A dataset manifest.json that is missing a field, holds one of the wrong
+    kind, or is not a JSON object; the message names the file."""
+
+
+def _is_factor(value) -> bool:
+    try:
+        return isinstance(value, str) and Fraction(value) >= 1
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+# each field read_manifest decodes: (valid, what it must be)
+_MANIFEST_FIELDS = {
+    "ids": (lambda v: isinstance(v, list) and v != [] and all(isinstance(i, str) for i in v),
+            "a non-empty list of id strings"),
+    "split": (lambda v: isinstance(v, dict) and all(s in ("train", "val") for s in v.values()),
+              'an object mapping ids to "train" or "val"'),
+    "variant": (lambda v: isinstance(v, str), "a string"),
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "rgb_dims": (lambda v: isinstance(v, list) and all(type(d) is int and d >= 1 for d in v),
+                 "a list of positive integers"),
+    "ir_factor": (_is_factor, 'a rational >= 1 like "2" or "10/3"'),
+}
+
+
 def read_manifest(root) -> DatasetManifest:
-    with open(os.path.join(root, "manifest.json")) as f:
-        doc = json.load(f)
-    return DatasetManifest(root=str(root), ids=doc["ids"], split=doc["split"],
-                           variant=doc["variant"], seed=doc["seed"],
-                           rgb_dims=tuple(doc["rgb_dims"]), ir_factor=doc["ir_factor"])
+    """The manifest.json under root; ManifestError naming the file if it is
+    not valid JSON, not an object, lacks a field or holds one of the wrong
+    kind, or leaves an id without a split."""
+    path = os.path.join(root, "manifest.json")
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ValueError(f"holds a {type(doc).__name__}, not a JSON object")
+        fields = {key: manifest_field(doc, key, valid, what)
+                  for key, (valid, what) in _MANIFEST_FIELDS.items()}
+        unsplit = [i for i in fields["ids"] if i not in fields["split"]]
+        if unsplit:
+            raise ValueError(f"manifest 'split' has no entry for id {unsplit[0]!r}")
+    # ValueError includes JSONDecodeError and UnicodeDecodeError; json raises
+    # RecursionError for arrays or objects nested too deep
+    except (ValueError, RecursionError) as e:
+        raise ManifestError(f"dataset manifest {path}: {e}") from None
+    return DatasetManifest(root=str(root), **{**fields, "rgb_dims": tuple(fields["rgb_dims"])})
 
 
 def save_dataset(root, samples, seed, variant="PRGB_plus_PIRprime", ir_factor="2"):

@@ -108,36 +108,58 @@ def linear(x, w, b):
     return y, vjp
 
 
+def _padded_rows(x, c, kh, kw, op):
+    """The same-padding layout of both convolutions: x [B, C, H, W],
+    zero-padded for a kh x kw kernel with odd extents plus one zero row, as
+    flat rows xf [B, C, Hp*Wp], where tap (u, v) of output pixel (i, j) reads
+    i*Wp + j + off with off = u*Wp + v: one contiguous slice per tap and block
+    of output rows. Sums over taps live on [r, Wp] grids whose last 2*pw
+    columns wrap into the next row. Returns xf, Wp, the taps as (u, v, off),
+    crop(f, r=H, off=0), a view of the [..., r, W] image in the flat rows of f
+    from off on, wrap columns dropped (at the centre tap's off, padding too),
+    and stage(buf, d), which writes d there in a zeroed buf and returns those rows."""
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError(f"{op}: kernel extents must be odd, got {kh}x{kw}")
+    if x.shape[1] != c:
+        raise ValueError(f"{op}: input has {x.shape[1]} channels, kernel expects {c}")
+    bsz, _, h, wd = x.shape
+    ph, pw, wp = kh // 2, kw // 2, wd + kw - 1
+    xp = np.zeros((bsz, c, h + kh - 1 + (kw > 1), wp))
+    xp[:, :, ph : ph + h, pw : pw + wd] = x
+    taps = [(u, v, u * wp + v) for u in range(kh) for v in range(kw)]
+
+    def crop(f, r=h, off=0):
+        return f[..., off : off + r * wp].reshape(f.shape[:-1] + (r, wp))[..., :wd]
+
+    def stage(buf, d):
+        crop(buf, d.shape[-2])[...] = d
+        return buf[..., : d.shape[-2] * wp]
+
+    return xp.reshape(bsz, c, -1), wp, taps, crop, stage
+
+
 def depthwise_conv2d(x, k):
     """Per-channel 2d convolution, odd kernel, zero same-padding.
 
     x: [B,C,H,W]; k: [C,kh,kw]. Channel i of the output depends only on
-    channel i of the input.
+    channel i of the input. One multiply-add per tap on _padded_rows.
     """
-    c, kh, kw = k.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError(f"depthwise_conv2d: kernel extents must be odd, got {kh}x{kw}")
-    if x.shape[1] != c:
-        raise ValueError(f"depthwise_conv2d: {x.shape[1]} channels vs kernel {c}")
-    b, _, h, w = x.shape
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    y = np.zeros_like(x)
-    for u in range(kh):
-        for v in range(kw):
-            y += k[:, u, v][None, :, None, None] * xp[:, :, u : u + h, v : v + w]
+    xf, wp, taps, crop, stage = _padded_rows(x, *k.shape, "depthwise_conv2d")
+    m = x.shape[2] * wp
+    y = np.zeros(xf.shape[:2] + (m,))
+    for u, v, off in taps:
+        y += k[:, u, v, None] * xf[..., off : off + m]
 
     def vjp(dy):
+        g = stage(np.zeros_like(y), dy)
         dk = np.empty_like(k)
-        dxp = np.zeros_like(xp)
-        for u in range(kh):
-            for v in range(kw):
-                patch = xp[:, :, u : u + h, v : v + w]
-                dk[:, u, v] = np.einsum("bchw,bchw->c", dy, patch)
-                dxp[:, :, u : u + h, v : v + w] += k[:, u, v][None, :, None, None] * dy
-        return dxp[:, :, ph : ph + h, pw : pw + w], dk
+        dxf = np.zeros_like(xf)
+        for u, v, off in taps:
+            dk[:, u, v] = np.einsum("bcm,bcm->c", g, xf[..., off : off + m])
+            dxf[..., off : off + m] += k[:, u, v, None] * g
+        return crop(dxf, off=taps[len(taps) // 2][2]), dk
 
-    return y, vjp
+    return crop(y), vjp
 
 
 # Bytes of one working block: a conv2d row block's accumulator, or one
@@ -151,35 +173,15 @@ _BLOCK_BYTES = 1 << 19
 def conv2d(x, w, b):
     """Dense 2d convolution, odd kernel, zero same-padding.
 
-    x: [B,Cin,H,W]; w: [Cout,Cin,kh,kw]; b: [Cout].
-
-    Evaluated as one GEMM per kernel tap on shifted slices of the padded
-    input, with no window copies. Each padded image (Hp x Wp) is viewed as
-    one flat row of Hp*Wp pixels. Output pixel (i, j) of tap (u, v) reads
-    flat position (i*Wp + j) + (u*Wp + v), so a tap's input for output rows
-    [i0, i1) is the contiguous slice [i0*Wp + off, i1*Wp + off) with
-    off = u*Wp + v, and ``w[:, :, u, v] @ slice`` is its contribution. The
-    sum is formed on an [rows, Wp] grid whose last 2*pw columns wrap into the
-    next row and are dropped; one extra zero row at the bottom keeps the
-    last tap's slice in bounds. Output rows are taken in blocks sized to
-    stay in cache. The vjp runs the same slices, with zeros in the wrap
-    columns of the upstream: per tap, dw += dy @ slice.T and
-    dx[slice] += w.T @ dy. Memory stays O(image).
+    x: [B,Cin,H,W]; w: [Cout,Cin,kh,kw]; b: [Cout]. One GEMM per kernel tap
+    on _padded_rows, in row blocks sized to stay in cache: per tap,
+    y += w[:, :, u, v] @ slice, dw += dy @ slice.T and dx[slice] += w.T @ dy.
     """
-    co, ci, kh, kw = w.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
-    if x.shape[1] != ci:
-        raise ValueError(f"conv2d: input has {x.shape[1]} channels, weight expects {ci}")
+    co, ci = w.shape[:2]
+    xf, wp, taps, crop, stage = _padded_rows(x, *w.shape[1:], "conv2d")
     bsz, _, h, wd = x.shape
-    ph, pw = kh // 2, kw // 2
-    hp, wp = h + 2 * ph + (pw > 0), wd + 2 * pw
-    xp = np.zeros((bsz, ci, hp, wp))
-    xp[:, :, ph : ph + h, pw : pw + wd] = x
-    xf = xp.reshape(bsz, ci, hp * wp)
     # [kh, kw, Cout, Cin]: each tap's matrix is contiguous, so BLAS takes it as is
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
-    taps = [(u, v, u * wp + v) for u in range(kh) for v in range(kw)]
     rows = max(1, min(h, _BLOCK_BYTES // max(1, 8 * bsz * co * wp)))
     blocks = [(i, min(rows, h - i)) for i in range(0, h, rows)]
 
@@ -193,24 +195,21 @@ def conv2d(x, w, b):
             np.matmul(wt[u, v], xf[:, :, s + off : s + off + m], out=t if k else a)
             if k:
                 a += t
-        np.add(a.reshape(bsz, co, r, wp)[..., :wd], b[None, :, None, None],
-               out=y[:, :, i : i + r])
+        np.add(crop(a, r), b[None, :, None, None], out=y[:, :, i : i + r])
 
     def vjp(dy):
         db = dy.sum(axis=(0, 2, 3))
         dwt = np.zeros_like(wt)
         dxf = np.zeros_like(xf)
-        dyb = np.zeros((bsz, co, rows, wp))  # the wrap columns stay zero
+        dyb = np.zeros((bsz, co, rows * wp))
         tmp = np.empty((bsz, ci, rows * wp))
         for i, r in blocks:
             s, m = i * wp, r * wp
-            dyb[:, :, :r, :wd] = dy[:, :, i : i + r]
-            g, t = dyb.reshape(bsz, co, rows * wp)[:, :, :m], tmp[:, :, :m]
+            g, t = stage(dyb, dy[:, :, i : i + r]), tmp[:, :, :m]
             for u, v, off in taps:
                 dwt[u, v] += (g @ xf[:, :, s + off : s + off + m].transpose(0, 2, 1)).sum(axis=0)
                 dxf[:, :, s + off : s + off + m] += np.matmul(wt[u, v].T, g, out=t)
-        dx = dxf.reshape(bsz, ci, hp, wp)[:, :, ph : ph + h, pw : pw + wd]
-        return dx, dwt.transpose(2, 3, 0, 1).copy(), db
+        return crop(dxf, off=taps[len(taps) // 2][2]), dwt.transpose(2, 3, 0, 1).copy(), db
 
     return y, vjp
 

@@ -36,11 +36,21 @@ class ModelConfig:
     decoder_dim: int = 32
 
     def __post_init__(self):
+        for name in ("in_channels", "patch_size", "state_dim", "num_classes", "decoder_dim"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name, least in (("embed_dims", 1), ("depths", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and value
+                    and all(type(v) is int and v >= least for v in value)):
+                raise ValueError(f"{name} must be a non-empty tuple of integers >= {least}, "
+                                 f"got {value!r}")
         if len(self.embed_dims) != len(self.depths):
             raise ValueError("embed_dims and depths must have the same length")
         for a, b in zip(self.embed_dims, self.embed_dims[1:]):
             if b != 2 * a:
-                raise ValueError(f"stage widths must double, got {self.embed_dims}")
+                raise ValueError(f"embed_dims must double from stage to stage, got {self.embed_dims}")
 
     @property
     def num_stages(self):
@@ -352,83 +362,67 @@ def uper_decode(features, w: DecoderWeights, out_h, out_w):
         raise ValueError("decoder expects at least two feature levels")
     n = len(features)
     f4 = [x.transpose(0, 3, 1, 2) for x in features]  # [B,C,h,w]
-    sizes = [f.shape[-2:] for f in f4]
     deep = f4[-1]
-    h_deep, w_deep = sizes[-1]
 
-    ppm_records = []
-    branches = [deep]
-    for bins, cw in zip(POOL_BINS, w.ppm_convs):
+    def ppm_branch(bins, cw):
         pooled, vjp_pool = adaptive_avg_pool2d(deep, bins, bins)
         conv, vjp_cr = _conv_relu(pooled, cw)
-        up, vjp_up = resize_bilinear(conv, h_deep, w_deep)
-        branches.append(up)
-        ppm_records.append((vjp_pool, vjp_cr, vjp_up))
-    cat_deep = np.concatenate(branches, axis=1)
-    top, vjp_top = _conv_relu(cat_deep, w.ppm_fuse)
+        up, vjp_up = resize_bilinear(conv, *deep.shape[2:])
 
-    levels = [None] * n
-    levels[n - 1] = top
-    lat_records = [None] * (n - 1)
-    upacc_records = [None] * (n - 1)
-    smooth_records = [None] * (n - 1)
+        def vjp(dup):
+            dpooled, dcw = vjp_cr(vjp_up(dup)[0])
+            return vjp_pool(dpooled)[0], dcw
+
+        return up, vjp
+
+    # the vjp keeps only the closures, not the upsampled arrays
+    ppm_ups, ppm_vjps = zip(*[ppm_branch(bins, cw) for bins, cw in zip(POOL_BINS, w.ppm_convs)])
+    top, vjp_top = _conv_relu(np.concatenate([deep, *ppm_ups], axis=1), w.ppm_fuse)
+
+    # top-down, deep to shallow: each level smooths its lateral plus the
+    # upsampled sum of the level above; steps end up ordered shallow to deep
+    levels, steps = [top], []
     acc = top
-    for i in range(n - 2, -1, -1):
-        lat, vjp_lat = _conv_relu(f4[i], w.laterals[i])
-        up, vjp_upacc = resize_bilinear(acc, *sizes[i])
-        acc = lat + up
-        levels[i], vjp_smooth = _conv_relu(acc, w.smooths[i])
-        lat_records[i] = vjp_lat
-        upacc_records[i] = vjp_upacc
-        smooth_records[i] = vjp_smooth
+    for f, lw, sw in zip(f4[-2::-1], w.laterals[::-1], w.smooths[::-1]):
+        lat, vjp_lat = _conv_relu(f, lw)
+        acc, vjp_up = resize_bilinear(acc, *f.shape[2:])
+        acc = lat + acc
+        level, vjp_smooth = _conv_relu(acc, sw)
+        levels.insert(0, level)
+        steps.insert(0, (vjp_lat, vjp_up, vjp_smooth))
 
-    h0, w0 = sizes[0]
-    merged = [levels[0]]
-    merge_ups = [None]
-    for i in range(1, n):
-        up, vjp_mu = resize_bilinear(levels[i], h0, w0)
-        merged.append(up)
-        merge_ups.append(vjp_mu)
-    cat_all = np.concatenate(merged, axis=1)
+    ups, up_vjps = zip(*[resize_bilinear(level, *f4[0].shape[2:]) for level in levels[1:]])
+    cat_all = np.concatenate([levels[0], *ups], axis=1)
     fused, vjp_fuse = _conv_relu(cat_all, w.fuse)
     grid_logits, vjp_cls = conv2d(fused, w.classifier.w, w.classifier.b)
     logits, vjp_out = resize_bilinear(grid_logits, out_h, out_w)
 
-    fdim = w.fuse.w.shape[1] // n
-
     def vjp(dlogits):
-        dgrid = vjp_out(dlogits)[0]
-        dfused, dcls_w, dcls_b = vjp_cls(dgrid)
+        dfused, dcls_w, dcls_b = vjp_cls(vjp_out(dlogits)[0])
         dcat_all, dfuse = vjp_fuse(dfused)
-        dlevels = [None] * n
-        dlevels[0] = dcat_all[:, 0:fdim]
-        for i in range(1, n):
-            dlevels[i] = merge_ups[i](dcat_all[:, i * fdim:(i + 1) * fdim])[0]
+        dparts = np.split(dcat_all, n, axis=1)
+        dlevels = dparts[:1] + [vjp_mu(d)[0] for vjp_mu, d in zip(up_vjps, dparts[1:])]
 
-        dlats = [None] * (n - 1)
-        dsmooths = [None] * (n - 1)
-        dfeat = [None] * n
+        dfeat, dlats, dsmooths = [], [], []
         carry = None  # grad flowing into acc at the current level from below
-        for i in range(n - 1):
-            dacc, dsmooths[i] = smooth_records[i](dlevels[i])
+        for (vjp_lat, vjp_up, vjp_smooth), dlevel in zip(steps, dlevels):
+            dacc, dsmooth = vjp_smooth(dlevel)
             if carry is not None:
                 dacc = dacc + carry
-            dfeat_i, dlats[i] = lat_records[i](dacc)
-            dfeat[i] = dfeat_i
-            carry = upacc_records[i](dacc)[0]
-        dtop = dlevels[n - 1] + carry
-        dcat_deep, dppm_fuse = vjp_top(dtop)
-        ddeep = dcat_deep[:, 0:deep.shape[1]]
+            dfeat_i, dlat = vjp_lat(dacc)
+            carry = vjp_up(dacc)[0]
+            dfeat.append(dfeat_i)
+            dlats.append(dlat)
+            dsmooths.append(dsmooth)
+        dcat_deep, dppm_fuse = vjp_top(dlevels[-1] + carry)
+        ddeep = dcat_deep[:, : deep.shape[1]]
         dppm_convs = []
-        off = deep.shape[1]
-        for (vjp_pool, vjp_cr, vjp_up) in ppm_records:
-            dup = dcat_deep[:, off:off + fdim]
-            off += fdim
-            dconv = vjp_up(dup)[0]
-            dpooled, dcw = vjp_cr(dconv)
-            ddeep = ddeep + vjp_pool(dpooled)[0]
+        dups = np.split(dcat_deep[:, deep.shape[1] :], len(ppm_vjps), axis=1)
+        for vjp_branch, dup in zip(ppm_vjps, dups):
+            dpool, dcw = vjp_branch(dup)
+            ddeep = ddeep + dpool
             dppm_convs.append(dcw)
-        dfeat[n - 1] = ddeep
+        dfeat.append(ddeep)
 
         dgrads = DecoderWeights(
             ppm_convs=dppm_convs, ppm_fuse=dppm_fuse, laterals=dlats,

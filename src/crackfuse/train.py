@@ -21,6 +21,10 @@ from .tensor import TensorFormatError, check_tensor, tensor_from_bytes, tensor_t
 from .trees import tree_flatten, tree_unflatten
 
 
+# the values each TrainConfig annotation admits; a bool is not a number here
+_ADMITS = {"int": int, "float": (int, float), "str": str, "float | None": (int, float, type(None))}
+
+
 @dataclass
 class TrainConfig:
     total_iters: int = 20000
@@ -35,13 +39,20 @@ class TrainConfig:
     grad_clip: float | None = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _ADMITS[f.type]):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
         if not 0 <= self.warmup_iters < self.total_iters:
-            raise ValueError("need 0 <= warmup_iters < total_iters")
+            raise ValueError(f"warmup_iters must be >= 0 and below total_iters, "
+                             f"got {self.warmup_iters} and {self.total_iters}")
         for name in ("batch_size", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self):
         return dataclasses.asdict(self)

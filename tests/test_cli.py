@@ -127,6 +127,16 @@ def test_train_rejects_unknown_keys(dataset, tmp_path, capsys):
     assert "bogus_key" in err and "model.wrong" in err
 
 
+@pytest.mark.parametrize("section,key", [("model", "state_dim"), ("train", "total_iters")])
+def test_train_names_mistyped_config_value(dataset, tmp_path, capsys, section, key):
+    cfg = _run_config(dataset, tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc[section][key] = "x"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("train", "--config", str(cfg)) == 1
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
 def test_train_twice_identical_logs(dataset, tmp_path):
     logs = []
     for run in range(2):
@@ -285,6 +295,16 @@ def test_eval_names_truncated_checkpoint(dataset, tmp_path, capsys):
                    "--checkpoint", str(ckpt)) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and "Traceback" not in err
+
+
+def test_eval_names_manifest_without_split(dataset, capsys):
+    path = dataset / "manifest.json"
+    doc = json.loads(path.read_text())
+    del doc["split"]
+    path.write_text(json.dumps(doc))
+    assert run_cli("eval", "--data", str(dataset), "--variant", "P_RGB") == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "'split'" in err and "Traceback" not in err
 
 
 def test_eval_fused_variant_requires_sr_checkpoint(dataset, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,34 @@ def test_manifest_roundtrip(tmp_path):
     s = data.load_sample(tmp_path, samples[0].id)
     assert np.max(np.abs(s.rgb - samples[0].rgb)) <= 1.0 / 255.0 + 1e-12
     np.testing.assert_array_equal(s.mask, samples[0].mask)
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda d: _without(d, "split"), "'split'"),
+    (lambda d: _without(d, "ir_factor"), "'ir_factor'"),
+    (lambda d: {**d, "seed": "7"}, "'seed'"),
+    (lambda d: {**d, "ids": "a"}, "'ids'"),
+    (lambda d: {**d, "ids": []}, "'ids'"),
+    (lambda d: {**d, "rgb_dims": [48, "48"]}, "'rgb_dims'"),
+    (lambda d: {**d, "ir_factor": "1/0"}, "'ir_factor'"),
+    (lambda d: {**d, "split": {**d["split"], d["ids"][0]: "test"}}, "'split'"),
+    (lambda d: {**d, "split": _without(d["split"], d["ids"][0])}, "no entry for id"),
+    (lambda d: [d], "not a JSON object"),
+    (lambda d: json.dumps(d)[:-1], "Expecting"),
+    (lambda d: "[" * 100000 + "]" * 100000, "recursion"),
+])
+def test_read_manifest_names_file_and_field(tmp_path, edit, field):
+    data.save_dataset(tmp_path, small_dataset(n=2), seed=7)
+    path = tmp_path / "manifest.json"
+    doc = edit(json.loads(path.read_text()))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(data.ManifestError) as err:
+        data.read_manifest(tmp_path)
+    assert str(path) in str(err.value) and field in str(err.value)
 
 
 def test_eval_batches_disjoint_cover():

@@ -1,8 +1,10 @@
 """Property tests: every input either decodes or raises its format's named
 error (MSCM tensors, checkpoint archives and their manifests, PPM/PGM
-images)."""
+images, dataset manifests, and the model and train sections of run
+configs)."""
 import dataclasses
 import io
+import json
 import struct
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crackfuse import segnet, sr, train
+from crackfuse import cli, data, segnet, sr, train
 from crackfuse.data import ImageParseError, load_image, load_mask, save_image, save_mask
 from crackfuse.tensor import MAGIC, TensorFormatError, tensor_from_bytes
 from crackfuse.trees import tree_flatten
@@ -201,3 +203,76 @@ def test_image_bytes_decode_or_image_parse_error(netpbm, choice, noise, edits, k
             load(path)
         except ImageParseError:
             pass
+
+
+# --------------------------------------------------------------------------
+# dataset manifests and run configs
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """A two-image dataset (one train id, one val id), its manifest document,
+    and its samples."""
+    root = tmp_path_factory.mktemp("dataset")
+    manifest = data.save_dataset(root, data.synth_dataset(0, 2, (24, 24), "2"), seed=0)
+    samples = [data.load_sample(root, i) for i in manifest.ids]
+    return root, json.loads((root / "manifest.json").read_text()), manifest, samples
+
+
+_MANIFEST_KEYS = ["ids", "split", "variant", "seed", "rgb_dims", "ir_factor"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(choice=st.sampled_from(["drop", "replace", "split", "document", "bytes"]),
+       key=st.sampled_from(_MANIFEST_KEYS), value=_JSON, noise=st.binary(max_size=60))
+@example(choice="replace", key="seed", value=3, noise=b"")  # these two decode
+@example(choice="split", key="ids", value="val", noise=b"")
+def test_dataset_manifest_decodes_or_manifest_error(dataset, choice, key, value, noise):
+    root, doc, _, _ = dataset
+    doc = {k: v for k, v in doc.items() if choice != "drop" or k != key}
+    if choice == "replace":
+        doc[key] = value
+    elif choice == "split":  # one id's entry drawn
+        doc["split"] = {**doc["split"], doc["ids"][0]: value}
+    path = root / "manifest.json"
+    text = json.dumps(value if choice == "document" else doc)
+    path.write_bytes(noise if choice == "bytes" else text.encode())
+    try:
+        manifest = data.read_manifest(root)
+    except data.ManifestError as e:
+        assert str(path) in str(e)
+        return
+    assert manifest.ids and all(manifest.split[i] in ("train", "val") for i in manifest.ids)
+    assert isinstance(manifest.variant, str) and type(manifest.seed) is int
+
+
+_RUN_DOC = {"data_root": "d", "variant": "P_RGB", "patch": 24,
+            "model": {"embed_dims": [4, 8, 16, 32], "state_dim": 2, "decoder_dim": 4},
+            "train": {"total_iters": 4, "batch_size": 2, "warmup_iters": 1, "seed": 0}}
+_VALUE = st.one_of(_JSON, st.integers(-3, 10**6), st.lists(st.integers(-1, 40), max_size=5))
+
+
+# one field of a section, or the whole section (None)
+_FIELDS = ([("model", f.name) for f in dataclasses.fields(segnet.ModelConfig)]
+           + [("train", f.name) for f in dataclasses.fields(train.TrainConfig)]
+           + [("model", None), ("train", None)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_VALUE)
+@example(field=("model", "state_dim"), value=2)  # the valid doc builds
+def test_run_config_values_build_or_usage_error(dataset, field, value):
+    _, _, manifest, samples = dataset
+    section, key = field
+    doc = json.loads(json.dumps(_RUN_DOC))
+    if key is None:
+        doc[section] = value
+    else:
+        doc[section][key] = value
+    try:
+        cli.validate_run_config(doc)
+        cfg, tcfg, source = cli._make_sources(doc, manifest, samples)
+    except cli.UsageError:
+        return
+    xs, ts, ids = source("train").batch(0)
+    assert xs.shape[1] == cfg.in_channels and len(xs) == len(ts) == len(ids) <= tcfg.batch_size

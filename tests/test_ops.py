@@ -122,22 +122,33 @@ _CONV_CASES += [((1, 2, 2, 2), (5, 5)), ((3, 1, 2, 2), (5, 5))]
 def test_conv2d_matches_direct_sum(shape, kernel, rows, monkeypatch):
     """Wrap columns and batch boundaries, with the output taken in one row
     block, in blocks of one row, and in blocks of two rows (the last block
-    of an odd height is partial)."""
+    of an odd height is partial). depthwise_conv2d is checked as the conv2d
+    whose weight is diagonal, w[c, c] = k[c], with no bias: its dk is that
+    weight gradient's diagonal."""
     if rows is not None:
         wp = shape[-1] + 2 * (kernel[1] // 2)
         monkeypatch.setattr(ops, "_BLOCK_BYTES", rows * 8 * shape[0] * 3 * wp)
     rng = np.random.default_rng(sum(shape) * 10 + kernel[0] * 3 + kernel[1])
     x = rng.standard_normal(shape)
     x0 = x.copy()
-    w = rng.standard_normal((3, shape[-3]) + kernel)
+    c = shape[-3]
+    w = rng.standard_normal((3, c) + kernel)
     b = rng.standard_normal(3)
     y, vjp = ops.conv2d(x, w, b)
-    dy = rng.standard_normal(y.shape)
-    want = _conv2d_direct(x, w, b, dy)
     assert y.flags.c_contiguous
-    for got, ref in zip((y,) + vjp(dy), want):
-        assert got.shape == ref.shape
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+    dy = rng.standard_normal(y.shape)
+    checks = [((y,) + vjp(dy), _conv2d_direct(x, w, b, dy))]
+    k = rng.standard_normal((c,) + kernel)
+    wk = np.zeros((c, c) + kernel)
+    wk[range(c), range(c)] = k
+    y, vjp = ops.depthwise_conv2d(x, k)
+    dy = rng.standard_normal(y.shape)
+    y_ref, dx_ref, dw_ref, _ = _conv2d_direct(x, wk, np.zeros(c), dy)
+    checks.append(((y,) + vjp(dy), (y_ref, dx_ref, dw_ref[range(c), range(c)])))
+    for got, want in checks:
+        for g, r in zip(got, want, strict=True):
+            assert g.shape == r.shape
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(x, x0)
 
 

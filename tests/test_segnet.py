@@ -18,6 +18,12 @@ def rng(seed=0):
 def test_config_validation():
     with pytest.raises(ValueError, match="double"):
         segnet.ModelConfig(embed_dims=(16, 48, 96, 192))
+    with pytest.raises(ValueError, match="embed_dims"):
+        segnet.ModelConfig(embed_dims=("a", "aa", "aaaa", "aaaaaaaa"))
+    for name, value in [("state_dim", "x"), ("decoder_dim", 0), ("depths", (1, -1, 1, 1)),
+                        ("in_channels", True)]:
+        with pytest.raises(ValueError, match=name):
+            segnet.ModelConfig(**{name: value})
     with pytest.raises(ValueError, match="divisible"):
         TOY.check_input(50, 48)
     TOY.check_input(48, 96)

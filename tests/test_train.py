@@ -89,6 +89,9 @@ def test_train_config_defaults_and_validation():
     for name in ("batch_size", "eval_interval"):
         with pytest.raises(ValueError, match=name):
             train.TrainConfig(**{name: 0})
+    for name, value in [("total_iters", "x"), ("base_lr", None), ("seed", 1.0), ("grad_clip", "1")]:
+        with pytest.raises(ValueError, match=name):
+            train.TrainConfig(**{name: value})
 
 
 def _global_norm(grads):
