@@ -33,10 +33,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_dims(text):
     try:
-        w, h = text.lower().split("x")
-        return int(h), int(w)
-    except Exception:
-        raise UsageError(f"--rgb-dims expects WIDTHxHEIGHT, got {text!r}") from None
+        w, h = (int(v) for v in text.lower().split("x"))
+        if w >= 1 and h >= 1:
+            return h, w
+    except ValueError:
+        pass
+    raise UsageError(f"--rgb-dims expects WIDTHxHEIGHT in positive integers, got {text!r}")
 
 
 def _parse_factor(text):
@@ -62,40 +64,43 @@ def _prepare_out(path, force):
 
 _MODEL_KEYS = {f.name for f in dataclasses.fields(segnet.ModelConfig)}
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(train.TrainConfig)}
-_TOP_KEYS = {"data_root", "variant", "sr_checkpoint", "patch", "log_path", "model", "train"}
 
 
-def validate_run_config(doc: dict) -> dict:
-    """Schema check; unknown keys anywhere are rejected by name. The values
-    under model and train are checked where their configs are built
-    (_make_sources)."""
-    if not isinstance(doc, dict):
-        raise UsageError(f"config must be a JSON object, got {type(doc).__name__}")
-    for section in ("model", "train"):
-        if not isinstance(doc.get(section, {}), dict):
-            raise UsageError(f"config {section!r} must be a JSON object")
-    bad = sorted(set(doc) - _TOP_KEYS)
+# each top-level run-config key: (valid, what it must be); the values under
+# model and train are checked where their configs are built (_make_sources)
+_PATH = (lambda v: isinstance(v, str) and v != "" and "\0" not in v,
+         "a non-empty path string without NUL bytes")
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+_RUN_FIELDS = {
+    "data_root": _PATH, "sr_checkpoint": _PATH, "log_path": _PATH,
+    "variant": (lambda v: v in data.VARIANTS, f"one of {', '.join(data.VARIANTS)}"),
+    "patch": (lambda v: type(v) is int and v >= 1, "a positive integer"),  # a JSON true is no size
+    "model": _OBJECT, "train": _OBJECT,
+}
+_REQUIRED = ("data_root", "variant")
+
+
+def validate_run_config(doc: dict, where="run config") -> dict:
+    """Schema check of a run-config object: the required keys, the value of
+    every top-level key present, and unknown keys anywhere, rejected by name.
+    Every refusal is a UsageError whose message starts with where."""
+    try:
+        for key, (valid, what) in _RUN_FIELDS.items():
+            if key in doc or key in _REQUIRED:
+                train.manifest_field(doc, key, valid, what)
+    except ValueError as e:
+        raise UsageError(f"{where}: {e}") from None
+    bad = sorted(set(doc) - set(_RUN_FIELDS))
     bad += sorted(f"model.{k}" for k in set(doc.get("model", {})) - _MODEL_KEYS)
     bad += sorted(f"train.{k}" for k in set(doc.get("train", {})) - _TRAIN_KEYS)
     if bad:
-        raise UsageError(f"unknown config keys: {', '.join(bad)}")
-    for key in ("data_root", "variant"):
-        if key not in doc:
-            raise UsageError(f"config is missing required key {key!r}")
-    if doc["variant"] not in data.VARIANTS:
-        raise UsageError(f"unknown variant {doc['variant']!r}; expected one of {data.VARIANTS}")
+        raise UsageError(f"{where}: unknown keys: {', '.join(bad)}")
     return doc
 
 
 def load_run_config(path) -> dict:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise UsageError(f"config file {path} not found") from None
-    except json.JSONDecodeError as e:
-        raise UsageError(f"config file {path} is not valid JSON: {e}") from None
-    return validate_run_config(doc)
+    where = f"config file {path}"
+    return validate_run_config(data.read_json_object(path, UsageError, where), where)
 
 
 def _load_split_samples(manifest):
@@ -195,8 +200,9 @@ def _make_sources(doc, manifest, samples, sr_model=None):
     """
     variant = doc["variant"]
     if variant == "PRGB_plus_PIRprime" and sr_model is None:
-        if not doc.get("sr_checkpoint"):
-            raise UsageError("variant PRGB_plus_PIRprime requires sr_checkpoint in the config")
+        if "sr_checkpoint" not in doc:
+            raise UsageError("variant PRGB_plus_PIRprime requires an SR checkpoint "
+                             "(sr_checkpoint in a run config, --sr-checkpoint for eval)")
         sr_model = sr.load_sr_checkpoint(doc["sr_checkpoint"])
     try:
         tcfg = train.TrainConfig(**doc.get("train", {}))
@@ -240,17 +246,14 @@ def cmd_train(args):
 def cmd_eval(args):
     manifest = data.read_manifest(args.data)
     samples = _load_split_samples(manifest)
-    variant = args.variant or manifest.variant
-    sr_model = sr.load_sr_checkpoint(args.sr_checkpoint) if args.sr_checkpoint else None
-    if variant == "PRGB_plus_PIRprime" and sr_model is None:
-        raise UsageError("variant PRGB_plus_PIRprime requires --sr-checkpoint")
     stored = train.load_model_checkpoint(args.checkpoint) if args.checkpoint else None
+    sr_path = {} if args.sr_checkpoint is None else {"sr_checkpoint": args.sr_checkpoint}
     doc = validate_run_config({
-        "data_root": args.data, "variant": variant, "patch": args.patch,
+        "data_root": args.data, "variant": args.variant or manifest.variant, "patch": args.patch,
         "model": stored.cfg.to_dict() if stored else {},
-        "train": {"batch_size": args.batch_size, "seed": args.seed},
-    })
-    cfg, tcfg, source = _make_sources(doc, manifest, samples, sr_model=sr_model)
+        "train": {"batch_size": args.batch_size, "seed": args.seed}, **sr_path,
+    }, "eval options")
+    cfg, tcfg, source = _make_sources(doc, manifest, samples)
     model = stored or segnet.init_model(cfg, data.named_rng(tcfg.seed, "init"))
     report = train.evaluate_model(model, source("val").eval_batches())
     print(json.dumps(report, sort_keys=True, indent=1))
@@ -273,7 +276,7 @@ def cmd_ablate(args):
                       "base_lr": args.lr, "warmup_iters": min(50, args.iters - 1),
                       "seed": args.seed, "eval_interval": args.iters,
                       "checkpoint_dir": os.path.join(args.work_dir, f"ckpt_{variant}")},
-        })
+        }, "ablate options")
         cfg, tcfg, source = _make_sources(doc, manifest, samples, sr_model=sr_model)
         train_src, val_src = source("train"), source("val")
         model = segnet.init_model(cfg, data.named_rng(tcfg.seed, "init"))

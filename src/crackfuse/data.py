@@ -386,25 +386,37 @@ _MANIFEST_FIELDS = {
 }
 
 
-def read_manifest(root) -> DatasetManifest:
-    """The manifest.json under root; ManifestError naming the file if it is
-    not valid JSON, not an object, lacks a field or holds one of the wrong
-    kind, or leaves an id without a split."""
-    path = os.path.join(root, "manifest.json")
+def read_json_object(path, error, where):
+    """The JSON object in the UTF-8 file at path. Raises error (an exception
+    class) with a message that starts with where if the file cannot be read,
+    is not JSON or holds something other than an object."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-        if not isinstance(doc, dict):
-            raise ValueError(f"holds a {type(doc).__name__}, not a JSON object")
+    # ValueError includes JSONDecodeError and UnicodeDecodeError; json raises
+    # RecursionError for arrays or objects nested too deep
+    except (OSError, ValueError, RecursionError) as e:
+        raise error(f"{where}: {e}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{where}: holds a {type(doc).__name__}, not a JSON object")
+    return doc
+
+
+def read_manifest(root) -> DatasetManifest:
+    """The manifest.json under root; ManifestError naming the file if it is
+    unreadable, not a JSON object, lacks a field or holds one of the wrong
+    kind, or leaves an id without a split."""
+    path = os.path.join(root, "manifest.json")
+    where = f"dataset manifest {path}"
+    doc = read_json_object(path, ManifestError, where)
+    try:
         fields = {key: manifest_field(doc, key, valid, what)
                   for key, (valid, what) in _MANIFEST_FIELDS.items()}
         unsplit = [i for i in fields["ids"] if i not in fields["split"]]
         if unsplit:
-            raise ValueError(f"manifest 'split' has no entry for id {unsplit[0]!r}")
-    # ValueError includes JSONDecodeError and UnicodeDecodeError; json raises
-    # RecursionError for arrays or objects nested too deep
-    except (ValueError, RecursionError) as e:
-        raise ManifestError(f"dataset manifest {path}: {e}") from None
+            raise ValueError(f"field 'split' has no entry for id {unsplit[0]!r}")
+    except ValueError as e:
+        raise ManifestError(f"{where}: {e}") from None
     return DatasetManifest(root=str(root), **{**fields, "rgb_dims": tuple(fields["rgb_dims"])})
 
 

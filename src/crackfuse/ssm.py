@@ -84,14 +84,6 @@ def init_ssm_params(channels, state_dim, rng, dt_min=0.01, dt_max=0.1):
     )
 
 
-def zeros_like_params(p: SsmParams) -> SsmParams:
-    return SsmParams(
-        a_log=np.zeros_like(p.a_log), skip=np.zeros_like(p.skip),
-        dt_w=np.zeros_like(p.dt_w), dt_b=np.zeros_like(p.dt_b),
-        b_w=np.zeros_like(p.b_w), c_w=np.zeros_like(p.c_w),
-    )
-
-
 def s6_project(x, p: SsmParams):
     """Per-step parameterization: (pre, dt, input gains, readout) from the input.
 
@@ -272,12 +264,6 @@ def _selective_scan(x, params, parallel: bool):
             raise ValueError(f"input has {C} channels, params expect {p.channels}")
     N = params[0].state_dim
     scan_fn = linear_recurrence_par if parallel else linear_recurrence_seq
-    if L == 0:
-        def vjp_empty(dy):
-            return np.zeros_like(x), [zeros_like_params(p) for p in params]
-
-        return np.zeros_like(x), vjp_empty
-
     ps = _stacked(params)
     pre, dt, b_t, c_t = s6_project(x, ps)        # [K,B,L,C], [K,B,L,N] x2
     a_cn = ps.materialized_a()                   # [K,C,N]
@@ -285,7 +271,7 @@ def _selective_scan(x, params, parallel: bool):
     skip = ps.skip[:, 0]                         # [K,1,C]
     xs, dts, bs, cs = (_to_steps(v) for v in (x, dt, b_t, c_t))
     chunks = _chunks(L, K * B * N * C)
-    work = (chunks[0][1], K, B, N, C)            # [T,K,B,N,C]
+    work = (max((e - s for s, e in chunks), default=0), K, B, N, C)  # [T,K,B,N,C]
 
     def states(s, e, h_in, out):
         """Discretization and states of steps [s, e), entered with state h_in,

@@ -209,14 +209,15 @@ def load_checkpoint(path):
     return tensors, manifest
 
 
-def manifest_field(manifest: dict, key: str, valid, what: str):
-    """manifest[key] if valid(value) holds; otherwise ValueError saying the
-    field is missing or is not what it should be."""
-    if key not in manifest:
-        raise ValueError(f"manifest has no {key!r}")
-    value = manifest[key]
+def manifest_field(doc: dict, key: str, valid, what: str):
+    """doc[key] if valid(value) holds; otherwise ValueError saying the field
+    is missing or is not what it should be. The caller's message names the
+    document."""
+    if key not in doc:
+        raise ValueError(f"no field {key!r}")
+    value = doc[key]
     if not valid(value):
-        raise ValueError(f"manifest {key!r} is {value!r}, not {what}")
+        raise ValueError(f"field {key!r} is {value!r}, not {what}")
     return value
 
 
@@ -296,7 +297,8 @@ class TrainResult:
     best_path: str = ""
 
 
-def _evaluate(model, batches):
+def evaluate_model(model, batches):
+    """Run the model over batches and report confusion-based metrics."""
     cm = metrics.ConfusionMatrix(model.cfg.num_classes)
     count = 0
     for inputs, targets, _ids in batches:
@@ -304,12 +306,6 @@ def _evaluate(model, batches):
         pred = np.argmax(logits, axis=1)
         cm.add(pred, targets)
         count += inputs.shape[0]
-    return cm, count
-
-
-def evaluate_model(model, batches):
-    """Run the model over batches and report confusion-based metrics."""
-    cm, count = _evaluate(model, batches)
     return cm.report(image_count=count)
 
 
@@ -397,13 +393,10 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
             done = it + 1
             if done % cfg.eval_interval == 0 or done == stop:
                 if val_batches_fn is not None:
-                    cm, count = _evaluate(model, val_batches_fn())
-                    iou = cm.iou()
-                    rec = {
-                        "iter": it, "miou": cm.miou(),
-                        "iou_bg": None if math.isnan(iou[0]) else float(iou[0]),
-                        "iou_crack": None if math.isnan(iou[-1]) else float(iou[-1]),
-                    }
+                    rep = evaluate_model(model, val_batches_fn())
+                    rec = {"iter": it, "miou": rep["miou"],
+                           "iou_bg": rep["iou_per_class"][0],
+                           "iou_crack": rep["iou_per_class"][-1]}
                     result.evals.append(rec)
                     log(rec)
                     if rec["miou"] > result.best_miou:

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crackfuse import cli, data, train
+from crackfuse import cli, data, segnet, train
 from crackfuse.tensor import load_tensor
 
 
@@ -54,6 +56,9 @@ def test_synth_usage_errors(tmp_path):
     assert run_cli("synth", "--count", "2", "--rgb-dims", "48x48", "--out", str(out)) == 1
     assert run_cli("synth", "--count", "2", "--rgb-dims", "nonsense", "--out",
                    str(tmp_path / "y")) == 1
+    assert run_cli("synth", "--count", "2", "--rgb-dims", "0x0", "--out",
+                   str(tmp_path / "z")) == 1
+    assert not (tmp_path / "z").exists()
 
 
 def test_sr_train_apply_fuse_chain(dataset, tmp_path, capsys):
@@ -135,6 +140,43 @@ def test_train_names_mistyped_config_value(dataset, tmp_path, capsys, section, k
     cfg.write_text(json.dumps(doc))
     assert run_cli("train", "--config", str(cfg)) == 1
     assert f"{section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case,named", [
+    ({"patch": "x"}, "'patch'"),
+    ({"patch": 0}, "'patch'"),
+    ({"patch": True}, "'patch'"),
+    ({"data_root": 5}, "'data_root'"),
+    ({"sr_checkpoint": 3}, "'sr_checkpoint'"),
+    ({"log_path": 7}, "'log_path'"),
+    ({"log_path": "a\0b"}, "'log_path'"),
+    (b"[" * 100000, "recursion"),
+    (b"\xff", "utf-8"),
+    ("directory", "directory"),
+    ("missing", "No such file"),
+])
+def test_train_names_bad_run_config(dataset, tmp_path, capsys, case, named):
+    cfg = _run_config(dataset, tmp_path, **(case if isinstance(case, dict) else {}))
+    if isinstance(case, bytes):
+        cfg.write_bytes(case)
+    elif case == "directory":
+        cfg = tmp_path / "dir.json"
+        cfg.mkdir()
+    elif case == "missing":
+        cfg = tmp_path / "missing.json"
+    assert run_cli("train", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert f"config file {cfg}" in err and named in err and "Traceback" not in err
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
+def test_readme_run_config_is_valid():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    doc = json.loads(re.search(r"A run config for `train` looks like:\s*```json\n(.*?)```",
+                               readme, re.S).group(1))
+    assert cli.validate_run_config(doc) is doc
+    segnet.ModelConfig.from_dict({"in_channels": 6, **doc["model"]})
+    train.TrainConfig(**doc["train"])
 
 
 def test_train_twice_identical_logs(dataset, tmp_path):

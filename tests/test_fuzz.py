@@ -1,7 +1,7 @@
 """Property tests: every input either decodes or raises its format's named
 error (MSCM tensors, checkpoint archives and their manifests, PPM/PGM
-images, dataset manifests, and the model and train sections of run
-configs)."""
+images, dataset manifests, and run configs: their bytes, top-level values
+and model and train sections)."""
 import dataclasses
 import io
 import json
@@ -249,30 +249,64 @@ def test_dataset_manifest_decodes_or_manifest_error(dataset, choice, key, value,
 _RUN_DOC = {"data_root": "d", "variant": "P_RGB", "patch": 24,
             "model": {"embed_dims": [4, 8, 16, 32], "state_dim": 2, "decoder_dim": 4},
             "train": {"total_iters": 4, "batch_size": 2, "warmup_iters": 1, "seed": 0}}
-_VALUE = st.one_of(_JSON, st.integers(-3, 10**6), st.lists(st.integers(-1, 40), max_size=5))
+_VALUE = st.one_of(_JSON, st.integers(-3, 10**6), st.lists(st.integers(-1, 40), max_size=5),
+                   st.sampled_from(data.VARIANTS))
+_TOP_KEYS = [*cli._RUN_FIELDS, "foo"]
+_DOC = st.dictionaries(st.sampled_from(_TOP_KEYS), _VALUE, max_size=len(_TOP_KEYS))
 
 
-# one field of a section, or the whole section (None)
+# one field of a section, a whole section (key None), a top-level value
+# (section None) or a whole document (both None)
 _FIELDS = ([("model", f.name) for f in dataclasses.fields(segnet.ModelConfig)]
            + [("train", f.name) for f in dataclasses.fields(train.TrainConfig)]
-           + [("model", None), ("train", None)])
+           + [("model", None), ("train", None)]
+           + [(None, key) for key in _TOP_KEYS] + [(None, None)])
 
 
-@settings(max_examples=150, deadline=None)
-@given(field=st.sampled_from(_FIELDS), value=_VALUE)
-@example(field=("model", "state_dim"), value=2)  # the valid doc builds
-def test_run_config_values_build_or_usage_error(dataset, field, value):
-    _, _, manifest, samples = dataset
-    section, key = field
-    doc = json.loads(json.dumps(_RUN_DOC))
-    if key is None:
-        doc[section] = value
-    else:
-        doc[section][key] = value
+def _builds_or_usage_error(doc, manifest, samples, read=cli.validate_run_config):
+    """read(doc) then _make_sources: each builds batches or raises UsageError.
+    Only a drawn sr_checkpoint may instead fail to load, as CheckpointError
+    naming it."""
     try:
-        cli.validate_run_config(doc)
+        doc = read(doc)
         cfg, tcfg, source = cli._make_sources(doc, manifest, samples)
     except cli.UsageError:
         return
+    except train.CheckpointError as e:
+        assert str(doc["sr_checkpoint"]) in str(e)
+        return
     xs, ts, ids = source("train").batch(0)
     assert xs.shape[1] == cfg.in_channels and len(xs) == len(ts) == len(ids) <= tcfg.batch_size
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_VALUE, whole=_DOC)
+@example(field=("model", "state_dim"), value=2, whole={})  # the valid doc builds
+def test_run_config_values_build_or_usage_error(dataset, field, value, whole):
+    _, _, manifest, samples = dataset
+    section, key = field
+    doc = json.loads(json.dumps(_RUN_DOC))
+    if field == (None, None):
+        doc = whole
+    elif section is None:
+        doc[key] = value
+    elif key is None:
+        doc[section] = value
+    else:
+        doc[section][key] = value
+    _builds_or_usage_error(doc, manifest, samples)
+
+
+@settings(max_examples=150, deadline=None)
+@given(choice=st.sampled_from(["mutated", "noise"]), noise=st.binary(max_size=80),
+       edits=st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 255)), max_size=6),
+       keep=st.floats(0.0, 1.0))
+@example(choice="mutated", noise=b"", edits=[], keep=1.0)  # the valid file builds
+def test_run_config_bytes_load_or_usage_error(dataset, choice, noise, edits, keep):
+    root, _, manifest, samples = dataset
+    buf = bytearray(json.dumps({**_RUN_DOC, "data_root": str(root)}).encode())
+    for pos, value in edits:
+        buf[pos % len(buf)] = value
+    path = root / "run.json"
+    path.write_bytes(bytes(buf[: round(keep * len(buf))]) if choice == "mutated" else noise)
+    _builds_or_usage_error(path, manifest, samples, read=cli.load_run_config)
