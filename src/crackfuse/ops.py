@@ -3,7 +3,10 @@
 Every operation here is pure and returns ``(output, vjp)`` where ``vjp`` maps
 an upstream cotangent of the output's shape to gradients for each
 differentiable input, in argument order. There is no tape: composite layers
-chain these closures by hand in reverse order.
+chain these closures by hand in reverse order. A vjp keeps one copy of the
+cheapest form of what its backward reads, and recomputes whatever one
+elementwise pass or one small GEMM gives back bit for bit (relu keeps a bool
+mask, silu only its input).
 
 Layout conventions: feature axes last for pointwise/affine ops; the convs
 take image batches ``[B, C, H, W]`` only, and the resamplers act on the last
@@ -24,16 +27,22 @@ def _sigmoid(x):
 def _softplus(x):
     """log(1 + exp(x)) without overflow. This is the formula np.logaddexp(0, x)
     evaluates element by element; the vectorized exp and log1p run several
-    times faster and agree with it to within an ulp or two."""
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    times faster and agree with it to within an ulp or two. The steps run in
+    place on one scratch array."""
+    t = np.abs(x)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    t += np.maximum(x, 0.0)
+    return t
 
 
 def silu(x):
     """x * sigmoid(x), elementwise."""
-    s = _sigmoid(x)
-    y = x * s
+    y = x * _sigmoid(x)
 
     def vjp(dy):
+        s = _sigmoid(x)
         return (dy * (s * (1.0 + x * (1.0 - s))),)
 
     return y, vjp
@@ -41,9 +50,10 @@ def silu(x):
 
 def relu(x):
     y = np.maximum(x, 0.0)
+    mask = x > 0.0
 
     def vjp(dy):
-        return (dy * (x > 0.0),)
+        return (dy * mask,)
 
     return y, vjp
 
@@ -98,14 +108,16 @@ def linear(x, w, b):
     y = x @ w + b
 
     def vjp(dy):
-        dx = dy @ w.T
-        x2 = x.reshape(-1, w.shape[0])
-        dy2 = dy.reshape(-1, w.shape[1])
-        dw = x2.T @ dy2
-        db = dy2.sum(axis=0)
-        return dx, dw, db
+        return _linear_grads(x, w, dy)
 
     return y, vjp
+
+
+def _linear_grads(x, w, dy):
+    """linear's (dx, dw, db) for input x and upstream dy."""
+    x2 = x.reshape(-1, w.shape[0])
+    dy2 = dy.reshape(-1, w.shape[1])
+    return dy @ w.T, x2.T @ dy2, dy2.sum(axis=0)
 
 
 def _padded_rows(x, c, kh, kw, op):

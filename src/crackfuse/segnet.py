@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scan2d, ssm
-from .ops import (conv2d, depthwise_conv2d, layer_norm, linear, relu,
+from .ops import (_linear_grads, conv2d, depthwise_conv2d, layer_norm, linear, relu,
                   resize_bilinear, adaptive_avg_pool2d, silu)
 from .trees import tree_flatten, tree_unflatten
 
@@ -213,11 +213,15 @@ def patch_embed(image, w: PatchEmbedWeights, cfg: ModelConfig):
     if h % ps or wd % ps:
         raise ValueError(f"image {h}x{wd} not divisible by patch size {ps}")
     gh, gw = h // ps, wd // ps
-    patches = image.reshape(b, c, gh, ps, gw, ps).transpose(0, 2, 4, 1, 3, 5).reshape(b, gh, gw, c * ps * ps)
-    tokens, vjp_lin = linear(patches, w.w, w.b)
+
+    def patches():
+        return image.reshape(b, c, gh, ps, gw, ps).transpose(0, 2, 4, 1, 3, 5).reshape(b, gh, gw, c * ps * ps)
+
+    tokens = linear(patches(), w.w, w.b)[0]
 
     def vjp(dtok):
-        dpatches, dw, db = vjp_lin(dtok)
+        # the vjp keeps the image, not its patch copy, and rebuilds the patches
+        dpatches, dw, db = _linear_grads(patches(), w.w, dtok)
         dimg = dpatches.reshape(b, gh, gw, c, ps, ps).transpose(0, 3, 1, 4, 2, 5).reshape(b, c, h, wd)
         return dimg, PatchEmbedWeights(w=dw, b=db)
 

@@ -85,13 +85,13 @@ def init_ssm_params(channels, state_dim, rng, dt_min=0.01, dt_max=0.1):
 
 
 def s6_project(x, p: SsmParams):
-    """Per-step parameterization: (pre, dt, input gains, readout) from the input.
+    """Per-step parameterization: (pre, input gains, readout) from the input.
 
-    x: [L, C] (or [B, L, C]). dt = softplus(pre) is strictly positive; the
-    scan's backward pass needs pre for softplus' = sigmoid(pre).
+    x: [L, C] (or [B, L, C]). The step sizes are dt = ops._softplus(pre),
+    strictly positive; the scan computes them chunk by chunk, and its
+    backward pass needs pre for softplus' = sigmoid(pre).
     """
-    pre = x @ p.dt_w + p.dt_b
-    return pre, _softplus(pre), x @ p.b_w, x @ p.c_w
+    return x @ p.dt_w + p.dt_b, x @ p.b_w, x @ p.c_w
 
 
 @dataclass
@@ -241,17 +241,20 @@ def _selective_scan(x, params, parallel: bool):
     The projections run on whole sequences and are kept step-major,
     [L, K, B, .], so each recurrence step is one contiguous slice across all
     K layers and the batch. The per-state work runs in L-chunks of T steps
-    on state-major [T, K, B, N, C] arrays that fit ops._BLOCK_BYTES:
+    on state-major [T, K, B, N, C] arrays that fit ops._BLOCK_BYTES, and a
+    chunk's step sizes dt = softplus(pre) are computed with it:
 
     - forward: a chunk's states start from the carried state h_in of the one
       before, u[0] += decay[0] * h_in, and the readout is written chunk by
-      chunk; the vjp keeps the projections and one [K, B, N, C] entry state
-      per chunk, never the states themselves;
-    - backward: the chunks run in reverse; each recomputes its
-      discretization and states from its entry state, then runs the adjoint
-      mu = decay * lam with the carried mu_in of the chunk after it:
+      chunk. The vjp keeps only the step-major xs, pre, bs and cs and one
+      [K, B, N, C] entry state per chunk: never the states or the step
+      sizes, nor a batch-major copy of x or pre;
+    - backward: the chunks run in reverse; each recomputes its step sizes,
+      discretization and states from pre and its entry state, then runs the
+      adjoint mu = decay * lam with the carried mu_in of the chunk after it:
       v[-1] += decay[-1] * mu_in, lam[-1] += mu_in and, for the chain term
-      through decay, q[0] = mu[0] * h_in.
+      through decay, q[0] = mu[0] * h_in. The weight gradients then rebuild
+      the batch-major x from xs.
 
     Each chunk makes one recurrence call forward and two backward (the
     recompute and the adjoint), sequential or Blelloch by `parallel`. The
@@ -265,29 +268,29 @@ def _selective_scan(x, params, parallel: bool):
     N = params[0].state_dim
     scan_fn = linear_recurrence_par if parallel else linear_recurrence_seq
     ps = _stacked(params)
-    pre, dt, b_t, c_t = s6_project(x, ps)        # [K,B,L,C], [K,B,L,N] x2
+    xs, pres, bs, cs = (_to_steps(v) for v in (x, *s6_project(x, ps)))
     a_cn = ps.materialized_a()                   # [K,C,N]
     a = np.swapaxes(a_cn, 1, 2)[:, None]         # [K,1,N,C]: broadcasts against [T,K,B,N,C]
     skip = ps.skip[:, 0]                         # [K,1,C]
-    xs, dts, bs, cs = (_to_steps(v) for v in (x, dt, b_t, c_t))
     chunks = _chunks(L, K * B * N * C)
     work = (max((e - s for s, e in chunks), default=0), K, B, N, C)  # [T,K,B,N,C]
 
     def states(s, e, h_in, out):
-        """Discretization and states of steps [s, e), entered with state h_in,
-        in the first e - s steps of the work arrays out."""
-        pair = discretize_zoh(a, bs[s:e], dts[s:e], out=out[: e - s])
+        """Step sizes, discretization and states of steps [s, e), entered
+        with state h_in, in the first e - s steps of the work arrays out."""
+        dt = _softplus(pres[s:e])
+        pair = discretize_zoh(a, bs[s:e], dt, out=out[: e - s])
         u = pair.gain
         u *= xs[s:e, ..., None, :]
         if h_in is not None:
             u[0] += pair.decay[0] * h_in
-        return pair, scan_fn(pair.decay, u, out=u)
+        return dt, pair, scan_fn(pair.decay, u, out=u)
 
     ys = np.empty_like(xs)                       # [L,K,B,C]
     h_ins = [None]                               # entry state of each chunk
     pair_buf = DiscretizedPair.empty(work)
     for s, e in chunks:
-        h = states(s, e, h_ins[-1], pair_buf)[1]
+        h = states(s, e, h_ins[-1], pair_buf)[2]
         h_ins.append(h[-1].copy())
         h *= cs[s:e, ..., None]
         ys[s:e] = _sum_states(h)
@@ -305,9 +308,9 @@ def _selective_scan(x, params, parallel: bool):
         lam_buf, v_buf, w_buf = np.empty(work), np.empty(work), np.empty(work)
         mu_in = None
         for (s, e), h_in in zip(reversed(chunks), reversed(h_ins)):
-            pair, h = states(s, e, h_in, pair_buf)
+            dt_c, pair, h = states(s, e, h_in, pair_buf)
             decay, g = pair.decay, pair.g
-            dy_c, x_c, dt_c, b_c = dys[s:e], xs[s:e], dts[s:e], bs[s:e]
+            dy_c, x_c, b_c = dys[s:e], xs[s:e], bs[s:e]
             np.einsum("tkbc,tkbnc->tkbn", dy_c, h, out=dc_t[s:e])
             # d_h, then the adjoint
             lam = np.multiply(dy_c[..., None, :], cs[s:e, ..., None], out=lam_buf[: e - s])
@@ -349,7 +352,10 @@ def _selective_scan(x, params, parallel: bool):
                 g_a[small] = dt_s * dt_s * (0.5 + z_s / 3.0)
             ddt[s:e] = np.einsum("tkbnc,knc->tkbc", q, a[:, 0]) + np.einsum("tkbnc,tkbnc->tkbc", dg, g_dt)
             da += np.einsum("tkbnc,tkbc->knc", q, dt_c) + np.einsum("tkbnc,tkbnc->knc", dg, g_a)
-        dpre = np.moveaxis(ddt, 0, 2) * _sigmoid(pre)          # [K,B,L,C]
+        # batch-major x and dpre: the weight gradients' sums run in this layout
+        x = np.ascontiguousarray(np.moveaxis(xs, 0, 2))        # [K,B,L,C]
+        dpre = np.multiply(np.moveaxis(ddt, 0, 2), np.moveaxis(_sigmoid(pres), 0, 2),
+                           out=np.empty_like(x))
         db_t = np.moveaxis(db_t, 0, 2)
         dc_t = np.moveaxis(dc_t, 0, 2)
         dx = np.moveaxis(dxs, 0, 2) + (dpre @ np.swapaxes(ps.dt_w, -1, -2)

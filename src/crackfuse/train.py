@@ -53,6 +53,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.checkpoint_dir or "\0" in self.checkpoint_dir:
+            raise ValueError(f"checkpoint_dir must be a non-empty path without NUL bytes, "
+                             f"got {self.checkpoint_dir!r}")
 
     def to_dict(self):
         return dataclasses.asdict(self)

@@ -132,11 +132,16 @@ def test_train_rejects_unknown_keys(dataset, tmp_path, capsys):
     assert "bogus_key" in err and "model.wrong" in err
 
 
-@pytest.mark.parametrize("section,key", [("model", "state_dim"), ("train", "total_iters")])
-def test_train_names_mistyped_config_value(dataset, tmp_path, capsys, section, key):
+@pytest.mark.parametrize("section,key,value", [("model", "state_dim", "x"),
+                                               ("train", "total_iters", "x"),
+                                               ("train", "checkpoint_dir", "c\0k"),
+                                               ("train", "checkpoint_dir", "")],
+                         ids=["model-state_dim", "train-total_iters", "train-checkpoint_dir-nul",
+                              "train-checkpoint_dir-empty"])
+def test_train_names_mistyped_config_value(dataset, tmp_path, capsys, section, key, value):
     cfg = _run_config(dataset, tmp_path)
     doc = json.loads(cfg.read_text())
-    doc[section][key] = "x"
+    doc[section][key] = value
     cfg.write_text(json.dumps(doc))
     assert run_cli("train", "--config", str(cfg)) == 1
     assert f"{section}.{key}" in capsys.readouterr().err

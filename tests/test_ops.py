@@ -14,6 +14,21 @@ def test_silu_values():
     assert abs(y[2] - 50.0) < 1e-6  # silu(x) -> x for large x
 
 
+def test_relu_vjp_keeps_one_byte_per_element(retained_bytes):
+    x = np.random.default_rng(3).standard_normal((64, 1000))
+    y, vjp, held = retained_bytes(ops.relu, x.copy)
+    assert held - y.nbytes <= x.size + 4096, held - y.nbytes
+    dy = np.random.default_rng(4).standard_normal(x.shape)
+    np.testing.assert_array_equal(vjp(dy)[0], np.where(x > 0.0, dy, 0.0))
+
+
+def test_silu_vjp_keeps_only_its_input(retained_bytes):
+    x = np.random.default_rng(3).standard_normal((64, 1000))
+    y, vjp, held = retained_bytes(ops.silu, x.copy)
+    assert held - y.nbytes <= x.nbytes + 4096, held - y.nbytes
+    assert vjp(np.ones_like(x))[0].shape == x.shape
+
+
 def test_layer_norm_constant_row():
     x = np.full((4, 6), 3.2)
     y, _ = ops.layer_norm(x, np.ones(6), np.full(6, -1.5))

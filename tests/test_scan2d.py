@@ -243,6 +243,19 @@ def test_ss2d_memory_stays_below_one_state_array():
     assert peak < 2 * one and bwd_peak < 2 * one, (peak, bwd_peak)
 
 
+def test_scan_vjp_keeps_no_batch_major_copy(retained_bytes):
+    # K = 4, B = 2, L = 800, C = 8, N = 4: four chunks, so three entry states
+    ps = [ssm.init_ssm_params(8, 4, np.random.default_rng(82 + i)) for i in range(4)]
+    x = np.random.default_rng(83).standard_normal((4, 2, 800, 8))
+    y, vjp, held = retained_bytes(lambda v: ssm._selective_scan(v, ps, False), x.copy)
+    chunks = ssm._chunks(800, 4 * 2 * 4 * 8)
+    assert len(chunks) == 4
+    # the output, the step-major xs, pre, bs and cs, and the entry states
+    kept = 3 * x.nbytes + 2 * x.nbytes // 2 + (len(chunks) - 1) * 4 * 2 * 4 * 8 * 8
+    assert held - kept < x.nbytes // 4, held - kept
+    assert vjp(np.ones_like(y))[0].shape == x.shape
+
+
 def _series_params(small_channels):
     """Params where |dt * a| falls below SERIES_THRESHOLD in the given channels."""
     ps = [ssm.init_ssm_params(3, 2, np.random.default_rng(60 + i)) for i in range(4)]
@@ -256,7 +269,8 @@ def _series_params(small_channels):
 def test_ss2d_series_branch(small_channels, mask):
     ps = _series_params(small_channels)
     x = np.random.default_rng(61).standard_normal((2, 3, 4, 3)) * 0.5
-    _pre, dt, b_t, _ = ssm.s6_project(x.reshape(-1, 3), ps[0])
+    pre, b_t, _ = ssm.s6_project(x.reshape(-1, 3), ps[0])
+    dt = ops._softplus(pre)
     a = ps[0].materialized_a().T                      # [N, C]
     pair = ssm.discretize_zoh(a, b_t, dt)
     assert {"mixed": pair.small.any() and not pair.small.all(), "all": pair.small.all(),

@@ -188,6 +188,22 @@ def test_model_forward_blelloch_matches_sequential():
     assert np.max(np.abs(par - seq)) <= 1e-9
 
 
+# tracemalloc bytes that model_forward's logits and vjp keep alive for two
+# 48 x 48 frames of the default config
+RETAINED_2X48 = 6_414_192
+
+
+def test_model_forward_retained_memory(retained_bytes):
+    # the bound is the measured figure plus 10%, so a closure that starts
+    # keeping a copy of an activation fails it
+    model = segnet.init_model(TOY, rng(7))
+    image = rng(8).standard_normal((2, 6, 48, 48))
+    segnet.model_forward(image, model)  # first-call caches stay out of the count
+    logits, vjp, held = retained_bytes(lambda im: segnet.model_forward(im, model), image.copy)
+    assert held <= 1.1 * RETAINED_2X48, held
+    assert vjp(np.ones_like(logits))[0].shape == image.shape
+
+
 def test_model_accepts_3_and_6_channel_configs():
     for cin in (3, 6):
         cfg = segnet.ModelConfig(in_channels=cin, embed_dims=(8, 16, 32, 64),

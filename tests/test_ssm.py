@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crackfuse import ssm
+from crackfuse import ops, ssm
 from crackfuse.gradcheck import grad_check
 
 
@@ -26,7 +26,8 @@ def test_project_constant_bias():
     p = make_params(4, 3)
     p.dt_w[:] = 0.0
     x = np.random.default_rng(1).standard_normal((7, 4))
-    _pre, dt, b_t, c_t = ssm.s6_project(x, p)
+    pre, b_t, c_t = ssm.s6_project(x, p)
+    dt = ops._softplus(pre)
     np.testing.assert_allclose(dt, np.tile(np.logaddexp(0, p.dt_b), (7, 1)))
     assert dt.shape == (7, 4) and b_t.shape == (7, 3) and c_t.shape == (7, 3)
 
@@ -34,7 +35,8 @@ def test_project_constant_bias():
 def test_project_positive():
     p = make_params(4, 3, seed=2)
     x = 5.0 * np.random.default_rng(3).standard_normal((50, 4))
-    _pre, dt, _, _ = ssm.s6_project(x, p)
+    pre, _, _ = ssm.s6_project(x, p)
+    dt = ops._softplus(pre)
     assert np.all(dt > 0)
 
 
@@ -74,7 +76,8 @@ def test_discretize_rejects_nonpositive_dt():
 def test_decay_in_unit_interval():
     p = make_params(3, 4, seed=5)
     x = np.random.default_rng(6).standard_normal((64, 3))
-    _pre, dt, b_t, _ = ssm.s6_project(x, p)
+    pre, b_t, _ = ssm.s6_project(x, p)
+    dt = ops._softplus(pre)
     pair = ssm.discretize_zoh(p.materialized_a().T, b_t, dt)
     assert pair.decay.shape == (64, 4, 3)  # [L, N, C]
     assert np.all(pair.decay > 0) and np.all(pair.decay < 1)
@@ -144,7 +147,8 @@ def test_par_matches_seq_many_lengths():
 def test_single_step_closed_form():
     p = make_params(2, 3, seed=11)
     x = np.random.default_rng(12).standard_normal((1, 1, 2))
-    _pre, dt, b_t, c_t = ssm.s6_project(x, p)
+    pre, b_t, c_t = ssm.s6_project(x, p)
+    dt = ops._softplus(pre)
     pair = ssm.discretize_zoh(p.materialized_a().T, b_t, dt)
     h1 = pair.gain[0, 0] * x[0, 0]                      # [N, C]
     expect = c_t[0, 0] @ h1 + p.skip * x[0, 0]
@@ -166,7 +170,8 @@ def test_bounded_state_property():
     p = make_params(2, 3, seed=15)
     rng = np.random.default_rng(16)
     x = rng.uniform(-1, 1, size=(256, 2))
-    _pre, dt, b_t, _ = ssm.s6_project(x, p)
+    pre, b_t, _ = ssm.s6_project(x, p)
+    dt = ops._softplus(pre)
     pair = ssm.discretize_zoh(p.materialized_a().T, b_t, dt)
     u = pair.gain * x[:, None, :]
     h = ssm.linear_recurrence_seq(pair.decay, u)
