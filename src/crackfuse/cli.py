@@ -196,7 +196,8 @@ def _make_sources(doc, manifest, samples, sr_model=None):
     Returns (model config, train config, source), where source("train") is
     the augmented training split and source("val") the center-cropped
     evaluation split. A split is built on request only, so evaluating a
-    dataset without training ids works.
+    dataset without training ids works; an empty split requested raises
+    ManifestError naming the manifest.
     """
     variant = doc["variant"]
     if variant == "PRGB_plus_PIRprime" and sr_model is None:
@@ -222,6 +223,9 @@ def _make_sources(doc, manifest, samples, sr_model=None):
 
     def source(split):
         ids = manifest.train_ids() if split == "train" else manifest.val_ids()
+        if not ids:
+            path = os.path.join(manifest.root, "manifest.json")
+            raise data.ManifestError(f"dataset manifest {path}: split {split!r} has no ids")
         return data.BatchSource(table, ids, tcfg.batch_size, patch, tcfg.seed,
                                 augment_data=split == "train")
 

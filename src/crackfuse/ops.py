@@ -6,7 +6,9 @@ differentiable input, in argument order. There is no tape: composite layers
 chain these closures by hand in reverse order. A vjp keeps one copy of the
 cheapest form of what its backward reads, and recomputes whatever one
 elementwise pass or one small GEMM gives back bit for bit (relu keeps a bool
-mask, silu only its input).
+mask, silu only its input). A network written as a list of steps runs through
+walk, which keeps each step's vjp only for a caller that asks for them, so a
+forward-only pass holds no closure past the step that made it.
 
 Layout conventions: feature axes last for pointwise/affine ops; the convs
 take image batches ``[B, C, H, W]`` only, and the resamplers act on the last
@@ -224,6 +226,18 @@ def conv2d(x, w, b):
         return crop(dxf, off=taps[len(taps) // 2][2]), dwt.transpose(2, 3, 0, 1).copy(), db
 
     return y, vjp
+
+
+def walk(steps, x, vjps=None):
+    """Run x through steps, (name, step) pairs with step(x) -> (y, vjp), and
+    return the last output. Appends (name, vjp) to vjps when given a list;
+    without one each vjp is dropped as soon as its step returns."""
+    for name, step in steps:
+        x, vjp = step(x)
+        if vjps is not None:
+            vjps.append((name, vjp))
+        del vjp
+    return x
 
 
 # ---------------------------------------------------------------------------

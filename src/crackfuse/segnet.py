@@ -3,11 +3,12 @@ encoder, and a pyramid-pooling / top-down decoder producing per-pixel logits.
 
 Every layer takes a batch: images are [B, C, H, W], token grids flow
 channels-last ([B, H, W, C]), and the decoder works channels-first
-([B, C, h, w]) because it is convolutional. model_forward is the one entry
-point that checks the layout and casts its input to float64; the layers
-behind it take float64 batches as they are. Every composite returns
+([B, C, h, w]) because it is convolutional. model_forward (training) and
+predict (inference) check the layout and cast their input to float64; the
+layers behind them take float64 batches as they are. Every composite returns
 (output, vjp) with the backward pass composed by hand from the primitives'
-closures, mirroring the forward graph exactly.
+closures. The encoder's layer order is written once, in _encode's walk;
+predict runs it keeping no vjp, encoder_forward keeps them and runs them back.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import scan2d, ssm
 from .ops import (_linear_grads, conv2d, depthwise_conv2d, layer_norm, linear, relu,
-                  resize_bilinear, adaptive_avg_pool2d, silu)
+                  resize_bilinear, adaptive_avg_pool2d, silu, walk)
 from .trees import tree_flatten, tree_unflatten
 
 POOL_BINS = (1, 2, 3, 6)
@@ -42,9 +43,9 @@ class ModelConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         for name, least in (("embed_dims", 1), ("depths", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, tuple) and value
+            if not (isinstance(value, tuple) and len(value) >= 2
                     and all(type(v) is int and v >= least for v in value)):
-                raise ValueError(f"{name} must be a non-empty tuple of integers >= {least}, "
+                raise ValueError(f"{name} must be a tuple of two or more integers >= {least}, "
                                  f"got {value!r}")
         if len(self.embed_dims) != len(self.depths):
             raise ValueError("embed_dims and depths must have the same length")
@@ -295,6 +296,24 @@ def downsample(x, w: DownsampleWeights):
     return y, vjp
 
 
+def _encode(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False, vjps=None):
+    """The encoder's one layer walk over [B, C, H, W] images: embed, then for
+    each stage i the downsample into it (downs.{i-1}) and its blocks
+    (stages.{i}.{j}), each step named by its weights' place in the tree.
+    Returns the per-stage grids; appends each step's (name, vjp) to vjps when
+    given a list."""
+    cfg.check_input(*image.shape[2:])
+    entries = [("embed", lambda x: patch_embed(x, enc.embed, cfg))]
+    entries += [(f"downs.{i}", lambda x, w=w: downsample(x, w)) for i, w in enumerate(enc.downs)]
+    feats, t = [], image
+    for i, (entry, blocks) in enumerate(zip(entries, enc.stages)):
+        steps = [entry] + [(f"stages.{i}.{j}", lambda x, w=w: vss_block(x, w, parallel=parallel))
+                           for j, w in enumerate(blocks)]
+        t = walk(steps, t, vjps)
+        feats.append(t)
+    return feats
+
+
 def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False):
     """Embed [B, C, H, W] images, then run each stage's blocks, downsampling
     between stages.
@@ -302,43 +321,22 @@ def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False
     Returns the per-stage feature grids ([B, h, w, C_i], channels-last) and
     a vjp mapping per-stage upstream grads to (dimage, EncoderWeights grads).
     """
-    cfg.check_input(*image.shape[2:])
-    tokens, vjp_embed = patch_embed(image, enc.embed, cfg)
-    feats = []
-    block_vjps = []
-    down_vjps = []
-    t = tokens
-    for i, stage in enumerate(enc.stages):
-        stage_vjps = []
-        for blk in stage:
-            t, vb = vss_block(t, blk, parallel=parallel)
-            stage_vjps.append(vb)
-        block_vjps.append(stage_vjps)
-        feats.append(t)
-        if i + 1 < len(enc.stages):
-            t, vd = downsample(t, enc.downs[i])
-            down_vjps.append(vd)
+    vjps = []
+    feats = _encode(image, enc, cfg, parallel, vjps)
+    # the place in vjps of each stage's last step -> that stage
+    ends = {int(k) - 1: i for i, k in enumerate(np.cumsum([1 + len(b) for b in enc.stages]))}
 
     def vjp(dfeats):
         if len(dfeats) != len(feats):
             raise ValueError(f"expected {len(feats)} upstream grids, got {len(dfeats)}")
-        dstage_blocks = [None] * len(enc.stages)
-        ddowns = [None] * len(enc.downs)
-        carry = None
-        for i in range(len(enc.stages) - 1, -1, -1):
-            if carry is None:
-                dt = dfeats[i]
-            else:
-                din, ddowns[i] = down_vjps[i](carry)
-                dt = din + dfeats[i]
-            grads = []
-            for vb in reversed(block_vjps[i]):
-                dt, g = vb(dt)
-                grads.append(g)
-            dstage_blocks[i] = list(reversed(grads))
-            carry = dt
-        dimage, dembed = vjp_embed(carry)
-        return dimage, EncoderWeights(embed=dembed, stages=dstage_blocks, downs=ddowns)
+        flat, dt = {}, None
+        for k in reversed(range(len(vjps))):
+            if k in ends:
+                dt = dfeats[ends[k]] if dt is None else dt + dfeats[ends[k]]
+            name, step_vjp = vjps[k]
+            dt, g = step_vjp(dt)
+            flat.update(tree_flatten(g, name))
+        return dt, tree_unflatten(enc, flat)
 
     return feats, vjp
 
@@ -437,6 +435,17 @@ def uper_decode(features, w: DecoderWeights, out_h, out_w):
     return logits, vjp
 
 
+def _images(image, cfg: ModelConfig):
+    """image as a float64 [B, C, H, W] batch of cfg's channels, or ValueError."""
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim != 4:
+        raise ValueError(f"expected a [B, C, H, W] batch of images, got shape {img.shape}")
+    if img.shape[1] != cfg.in_channels:
+        raise ValueError(f"channel mismatch: expected {cfg.in_channels} input channels, "
+                         f"got {img.shape[1]}")
+    return img
+
+
 def model_forward(image, model: SegModel, parallel=False):
     """Full network: [B, C_in, H, W] images -> [B, num_classes, H, W] logits.
 
@@ -445,14 +454,9 @@ def model_forward(image, model: SegModel, parallel=False):
     batches as they are. Returns (logits, vjp) with vjp(dlogits) ->
     (dimage, ModelWeights gradient).
     """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 4:
-        raise ValueError(f"model_forward expects a [B, C, H, W] batch of images, got shape {img.shape}")
-    _, cin, h, w = img.shape
-    if cin != model.cfg.in_channels:
-        raise ValueError(f"channel mismatch: expected {model.cfg.in_channels} input channels, got {cin}")
+    img = _images(image, model.cfg)
     feats, vjp_enc = encoder_forward(img, model.weights.encoder, model.cfg, parallel=parallel)
-    logits, vjp_dec = uper_decode(feats, model.weights.decoder, h, w)
+    logits, vjp_dec = uper_decode(feats, model.weights.decoder, *img.shape[2:])
 
     def vjp(dlogits):
         dfeats, ddec = vjp_dec(dlogits)
@@ -460,3 +464,11 @@ def model_forward(image, model: SegModel, parallel=False):
         return dimage, ModelWeights(encoder=denc, decoder=ddec)
 
     return logits, vjp
+
+
+def predict(image, model: SegModel):
+    """model_forward's logits, bit for bit, for inference: the encoder walk
+    keeps no step's vjp, and the decoder's closures go when it returns."""
+    img = _images(image, model.cfg)
+    feats = _encode(img, model.weights.encoder, model.cfg)
+    return uper_decode(feats, model.weights.decoder, *img.shape[2:])[0]

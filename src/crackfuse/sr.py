@@ -5,6 +5,8 @@ residual predicted from that upsample by a small fully convolutional net,
 so it applies at any scale. Training degrades each image by the sensor
 factor and regresses the reconstruction onto the original; the final conv
 starts at zero, making the untrained model exactly the bicubic baseline.
+The net is one walk of steps; only sr_forward, the training path, keeps their
+vjps, so applying the model and scoring it hold one layer's closures at a time.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import metrics
-from .ops import clamp01, conv2d, relu, resize_bicubic
+from .ops import clamp01, conv2d, relu, resize_bicubic, walk
 from .train import (adamw_step, init_optimizer, manifest_field, restore_checkpoint,
                     save_checkpoint)
 from .trees import tree_flatten, tree_unflatten
@@ -82,47 +84,50 @@ def degrade(img, factor):
     return resize_bicubic(np.asarray(img, dtype=np.float64), oh, ow)[0]
 
 
-def _residual_net(m: SrModel, x):
-    t1, vjp1 = conv2d(x, m.conv1_w, m.conv1_b)
-    a1, vr1 = relu(t1)
-    t2, vjp2 = conv2d(a1, m.conv2_w, m.conv2_b)
-    a2, vr2 = relu(t2)
-    res, vjp3 = conv2d(a2, m.conv3_w, m.conv3_b)
+def _residual_net(m: SrModel, x, vjps=None):
+    """conv1, relu, conv2, relu, conv3 on a [B, 3, H, W] batch, as one walk.
+    Each step is named by the SrModel fields its gradients fill; appends each
+    step's (names, vjp) to vjps when given a list."""
+    return walk([(("conv1_w", "conv1_b"), lambda t: conv2d(t, m.conv1_w, m.conv1_b)),
+                 ((), relu),
+                 (("conv2_w", "conv2_b"), lambda t: conv2d(t, m.conv2_w, m.conv2_b)),
+                 ((), relu),
+                 (("conv3_w", "conv3_b"), lambda t: conv2d(t, m.conv3_w, m.conv3_b))], x, vjps)
 
-    def vjp(dres):
-        da2, dw3, db3 = vjp3(dres)
-        dt2 = vr2(da2)[0]
-        da1, dw2, db2 = vjp2(dt2)
-        dt1 = vr1(da1)[0]
-        dx, dw1, db1 = vjp1(dt1)
-        return dx, replace(m, conv1_w=dw1, conv1_b=db1, conv2_w=dw2,
-                           conv2_b=db2, conv3_w=dw3, conv3_b=db3)
 
-    return res, vjp
+def _reconstruct(m: SrModel, low, out_h, out_w, vjps=None):
+    """Bicubic upsample of one [3, h, w] image plus predicted residual,
+    clamped to [0, 1], as (y, the clamp's vjp); the residual net runs it as a
+    batch of one and appends its steps' vjps to vjps when given a list."""
+    up = resize_bicubic(np.asarray(low, dtype=np.float64), out_h, out_w)[0]
+    return clamp01(up + _residual_net(m, up[None], vjps)[0])
 
 
 def sr_forward(m: SrModel, low, out_h, out_w):
-    """Bicubic upsample of one [3, h, w] image plus predicted residual,
-    clamped to [0, 1]; the residual net runs it as a batch of one."""
-    up = resize_bicubic(np.asarray(low, dtype=np.float64), out_h, out_w)[0]
-    res, vjp_net = _residual_net(m, up[None])
-    y, vjp_clamp = clamp01(up + res[0])
+    """_reconstruct for training: (y, vjp) with vjp(dy) -> an SrModel holding
+    the residual weights' gradients."""
+    vjps = []
+    y, vjp_clamp = _reconstruct(m, low, out_h, out_w, vjps)
 
     def vjp(dy):
-        ds = vjp_clamp(dy)[0]
-        _dup, dweights = vjp_net(ds[None])
-        return dweights  # an SrModel holding the residual weights' gradients
+        ds = vjp_clamp(dy)[0][None]
+        grads = {}
+        for names, step_vjp in reversed(vjps):
+            ds, *g = step_vjp(ds)
+            grads.update(zip(names, g))
+        return replace(m, **grads)
 
     return y, vjp
 
 
 def sr_apply(m: SrModel, ir, out_dims):
-    """Super-resolve an image up to out_dims = (H, W); refuses downscaling."""
+    """Super-resolve an image up to out_dims = (H, W); refuses downscaling.
+    Forward only: no step's vjp outlives its step."""
     out_h, out_w = out_dims
     h, w = ir.shape[-2:]
     if out_h < h or out_w < w:
         raise ValueError(f"target {out_h}x{out_w} is smaller than input {h}x{w}")
-    return sr_forward(m, ir, out_h, out_w)[0]
+    return _reconstruct(m, ir, out_h, out_w)[0]
 
 
 def corpus_loss(model: SrModel, images, factor) -> float:
@@ -131,7 +136,7 @@ def corpus_loss(model: SrModel, images, factor) -> float:
     for img in images:
         img = np.asarray(img, dtype=np.float64)
         low = degrade(img, factor) if Fraction(factor) > 1 else img
-        rec, _ = sr_forward(model, low, img.shape[-2], img.shape[-1])
+        rec = _reconstruct(model, low, img.shape[-2], img.shape[-1])[0]
         total += float(np.mean((rec - img) ** 2))
     return total / len(images)
 
@@ -185,7 +190,7 @@ def evaluate_sr(model: SrModel, images, factor):
         h, w = img.shape[-2:]
         low = degrade(img, factor)
         up = np.clip(resize_bicubic(low, h, w)[0], 0.0, 1.0)
-        rec = sr_forward(model, low, h, w)[0]
+        rec = _reconstruct(model, low, h, w)[0]
         rows.append({
             "index": idx,
             "psnr_model": metrics.psnr(rec, img),

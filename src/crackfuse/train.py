@@ -305,8 +305,7 @@ def evaluate_model(model, batches):
     cm = metrics.ConfusionMatrix(model.cfg.num_classes)
     count = 0
     for inputs, targets, _ids in batches:
-        logits, _ = segnet.model_forward(inputs, model)
-        pred = np.argmax(logits, axis=1)
+        pred = np.argmax(segnet.predict(inputs, model), axis=1)
         cm.add(pred, targets)
         count += inputs.shape[0]
     return cm.report(image_count=count)

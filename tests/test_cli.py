@@ -147,6 +147,30 @@ def test_train_names_mistyped_config_value(dataset, tmp_path, capsys, section, k
     assert f"{section}.{key}" in capsys.readouterr().err
 
 
+def test_train_refuses_one_stage_model(dataset, tmp_path, capsys):
+    # the decoder fuses two or more levels; the config is refused before
+    # the checkpoint directory or the log is made
+    cfg = _run_config(dataset, tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc["model"].update(embed_dims=[16], depths=[1])
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("train", "--config", str(cfg)) == 1
+    assert "model.embed_dims" in capsys.readouterr().err
+    assert not (tmp_path / "ck").exists() and not (tmp_path / "metrics.jsonl").exists()
+
+
+def test_train_names_manifest_with_empty_train_split(tmp_path, capsys):
+    one = tmp_path / "one"
+    assert run_cli("synth", "--seed", "0", "--count", "1", "--rgb-dims", "48x48",
+                   "--out", str(one)) == 0
+    assert json.loads(capsys.readouterr().out)["train"] == 0
+    cfg = _run_config(one, tmp_path)
+    assert run_cli("train", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert str(one / "manifest.json") in err and "'train' has no ids" in err
+    assert "Traceback" not in err and not (tmp_path / "ck").exists()
+
+
 @pytest.mark.parametrize("case,named", [
     ({"patch": "x"}, "'patch'"),
     ({"patch": 0}, "'patch'"),

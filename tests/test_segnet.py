@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="divisible"):
         TOY.check_input(50, 48)
     TOY.check_input(48, 96)
+    # the decoder fuses two or more levels, so a one-stage config is refused
+    with pytest.raises(ValueError, match="embed_dims must be a tuple of two or more"):
+        segnet.ModelConfig(embed_dims=(16,), depths=(1,))
 
 
 def test_patch_embed_grid_shape():
@@ -137,10 +142,16 @@ def test_encoder_zeroed_blocks_equal_embed_downsample_chain():
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-def test_encoder_end_to_end_gradcheck_sampled():
-    model = segnet.init_model(TINY, rng(20))
+def _reduced(depths):
+    """TINY's widths and sizes with depths, one stage per entry."""
+    return dataclasses.replace(TINY, embed_dims=TINY.embed_dims[:len(depths)], depths=depths)
+
+
+@pytest.mark.parametrize("cfg", [TINY, _reduced((2, 0))], ids=["tiny", "depths-2-0"])
+def test_encoder_end_to_end_gradcheck_sampled(cfg):
+    model = segnet.init_model(cfg, rng(20))
     img = rng(21).standard_normal((1, 2, 24, 24)) * 0.4
-    rep = grad_check(lambda a, enc: segnet.encoder_forward(a, enc, TINY),
+    rep = grad_check(lambda a, enc: segnet.encoder_forward(a, enc, cfg),
                      [img, model.weights.encoder], tol=1e-4, name="encoder",
                      max_entries_per_input=3)
     assert rep.passed, str(rep)
@@ -186,6 +197,31 @@ def test_model_forward_blelloch_matches_sequential():
     seq, _ = segnet.model_forward(img, model, parallel=False)
     par, _ = segnet.model_forward(img, model, parallel=True)
     assert np.max(np.abs(par - seq)) <= 1e-9
+
+
+@pytest.mark.parametrize("cfg", [TOY, *(dataclasses.replace(_reduced(d), in_channels=6)
+                                   for d in [(2, 0), (0, 2), (2, 1, 0, 3)])],
+                         ids=["default", "depths-2-0", "depths-0-2", "depths-2-1-0-3"])
+def test_predict_equals_model_forward_bitwise(cfg):
+    # stages with two blocks and with none walk the same steps in both
+    model = segnet.init_model(cfg, rng(36))
+    img = rng(37).standard_normal((2, 6, 48, 48)) * 0.5
+    logits, _ = segnet.model_forward(img, model)
+    assert np.array_equal(segnet.predict(img, model), logits)
+    with pytest.raises(ValueError, match="expected 6 input channels, got 3"):
+        segnet.predict(np.zeros((1, 3, 48, 48)), model)
+
+
+def test_predict_peak_memory_below_model_forward(peak_bytes):
+    # measured on two 48 x 48 frames of the default config: predict peaks at
+    # 0.58 of model_forward (4.71 against 8.11 MB); both build the same
+    # decoder, so the gap is the encoder's closures that predict drops
+    model = segnet.init_model(TOY, rng(7))
+    image = rng(8).standard_normal((2, 6, 48, 48))
+    segnet.model_forward(image, model)  # first-call caches stay out of the count
+    _, train_peak = peak_bytes(lambda im: segnet.model_forward(im, model), image.copy)
+    _, infer_peak = peak_bytes(lambda im: segnet.predict(im, model), image.copy)
+    assert infer_peak <= 0.65 * train_peak, (infer_peak, train_peak)
 
 
 # tracemalloc bytes that model_forward's logits and vjp keep alive for two

@@ -109,6 +109,24 @@ def test_sr_apply_sensor_resolution():
     assert out.shape == (3, 960, 1280)
 
 
+# tracemalloc peak of sr_apply from a 30 x 40 frame to 60 x 80 with 32 hidden
+# channels; keeping every layer's output until the net returns peaks at
+# 8,659,824 bytes, so the bound (this figure plus 10%) catches that
+SR_APPLY_PEAK = 5_198_768
+
+
+def test_sr_apply_is_forward_only(peak_bytes):
+    m = sr.init_sr_model(2, np.random.default_rng(12))
+    m.conv3_w[:] = np.random.default_rng(13).standard_normal(m.conv3_w.shape) * 0.05
+    ir = smooth_image(14, 30, 40)
+    sr.sr_apply(m, ir, (60, 80))  # first-call caches stay out of the count
+    (y, _), train_peak = peak_bytes(lambda x: sr.sr_forward(m, x, 60, 80), ir.copy)
+    out, apply_peak = peak_bytes(lambda x: sr.sr_apply(m, x, (60, 80)), ir.copy)
+    assert np.array_equal(out, y)
+    assert apply_peak < train_peak, (apply_peak, train_peak)
+    assert apply_peak <= 1.1 * SR_APPLY_PEAK, apply_peak
+
+
 def test_training_reduces_loss():
     imgs = [textured_image(20 + i) for i in range(4)]
     model = sr.sr_train_selfsupervised(imgs, 2, sr.SrTrainConfig(iters=120, lr=1e-3, hidden=8))
