@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -294,3 +296,134 @@ def test_flatten_unflatten_roundtrip():
                                 tree_flatten(rebuilt).items()):
         assert n1 == n2
         assert a is b
+
+
+# --------------------------------------------------------------------------
+# Sharded batches: above segnet._SHARD_MIN_PIXELS a batch runs as two shards,
+# the second on a worker thread. TINY at 5 x 120^2 holds 43,200 pixels in its
+# first shard, above the gate, and cuts unevenly (3 + 2 images).
+
+
+def _sharded_case():
+    model = segnet.init_model(TINY, rng(40))
+    img = rng(41).standard_normal((5, 2, 120, 120)) * 0.5
+    target = rng(42).integers(0, 2, size=(5, 120, 120))
+    assert segnet._shards(img) == [slice(0, 3), slice(3, 5)]
+    return model, img, target
+
+
+def _step(model, img, target):
+    """Logits, dimage and the flat weight gradient of one cross-entropy step."""
+    logits, vjp = segnet.model_forward(img, model)
+    dimage, gtree = vjp(train.cross_entropy(logits, target)[1](1.0)[0])
+    return logits, dimage, tree_flatten(gtree)
+
+
+def test_shard_cut_follows_the_gate():
+    def cut(*shape):
+        return segnet._shards(np.broadcast_to(0.0, shape))
+
+    assert cut(8, 6, 48, 48) == [slice(0, 8)]    # train48's step and val pass
+    assert cut(8, 6, 72, 72) == [slice(0, 8)]
+    assert cut(8, 6, 96, 96) == [slice(0, 4), slice(4, 8)]
+    assert cut(8, 6, 120, 120) == [slice(0, 4), slice(4, 8)]    # infer120
+    assert cut(1, 6, 240, 240) == [slice(0, 1)]
+    assert cut(3, 6, 144, 144) == [slice(0, 2), slice(2, 3)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_shard_outputs_do_not_depend_on_worker_count(monkeypatch, cpus):
+    model, img, target = _sharded_case()
+    want = _step(model, img, target)  # on this process's own CPUs
+    threads = {}  # shard size -> the thread that ran it
+
+    def spy(shard, *args):
+        threads[shard.shape[0]] = threading.current_thread().name
+        return forward(shard, *args)
+
+    forward = segnet._model_forward
+    monkeypatch.setattr(segnet, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(segnet, "_model_forward", spy)
+    logits, dimage, grads = _step(model, img, target)
+    assert threads[3] == threading.current_thread().name
+    assert threads[2].startswith("crackfuse-shard") == (cpus == 2)
+    assert np.array_equal(logits, want[0]) and np.array_equal(dimage, want[1])
+    assert grads.keys() == want[2].keys()
+    for name, g in grads.items():
+        assert np.array_equal(g, want[2][name]), name
+    assert np.array_equal(segnet.predict(img, model), logits)
+
+
+def test_shard_matches_whole_batch_within_tolerance():
+    # splitting the batch changes the rounding of batch-wide sums only
+    model, img, target = _sharded_case()
+    logits, dimage, grads = _step(model, img, target)
+    whole, vjp = segnet._model_forward(img, model, False)
+    whole_dimage, whole_tree = vjp(train.cross_entropy(whole, target)[1](1.0)[0])
+    assert np.max(np.abs(logits - whole)) <= 1e-12
+    assert np.max(np.abs(dimage - whole_dimage)) <= 1e-12 * np.max(np.abs(whole_dimage))
+    for name, g in tree_flatten(whole_tree).items():
+        assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+def test_shard_below_gate_runs_whole_batch_on_caller(monkeypatch):
+    monkeypatch.setattr(segnet, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(segnet, "_POOL", None)
+    model = segnet.init_model(TOY, rng(43))
+    img = rng(44).standard_normal((8, 6, 48, 48)) * 0.5
+    dlogits = rng(45).standard_normal((8, 2, 48, 48))
+    threads = threading.active_count()
+    logits, vjp = segnet.model_forward(img, model)
+    dimage, gtree = vjp(dlogits)
+    whole, whole_vjp = segnet._model_forward(img, model, False)
+    whole_dimage, whole_tree = whole_vjp(dlogits)
+    assert np.array_equal(logits, whole) and np.array_equal(dimage, whole_dimage)
+    for (name, g), w in zip(tree_flatten(gtree).items(), tree_flatten(whole_tree).values()):
+        assert np.array_equal(g, w), name
+    assert np.array_equal(segnet.predict(img, model), segnet._predict(img, model))
+    assert segnet._POOL is None and threading.active_count() == threads
+
+
+class _ShardFailed(Exception):
+    pass
+
+
+def test_shard_failure_reaches_caller(monkeypatch):
+    model, img, _ = _sharded_case()
+    want = segnet.predict(img, model)
+
+    def second_fails(fn):
+        def run(shard, *args):
+            if shard.shape[0] == 2:  # the second shard of the 3 + 2 cut
+                raise _ShardFailed("shard 1")
+            return fn(shard, *args)
+        return run
+
+    monkeypatch.setattr(segnet, "_cpu_count", lambda: 2)
+    with monkeypatch.context() as m:
+        m.setattr(segnet, "_model_forward", second_fails(segnet._model_forward))
+        m.setattr(segnet, "_predict", second_fails(segnet._predict))
+        with pytest.raises(_ShardFailed):
+            segnet.model_forward(img, model)
+        with pytest.raises(_ShardFailed):
+            segnet.predict(img, model)
+    assert np.array_equal(segnet.predict(img, model), want)
+    assert np.array_equal(segnet.model_forward(img, model)[0], want)
+
+
+def test_shard_failure_in_first_waits_for_second(monkeypatch):
+    model, img, _ = _sharded_case()
+    done = []
+
+    def fake(shard, model):
+        if shard.shape[0] == 3:  # the first shard fails at once
+            raise _ShardFailed("shard 0")
+        time.sleep(0.2)
+        done.append(threading.current_thread().name)
+        return np.zeros((shard.shape[0], 2) + shard.shape[2:])
+
+    monkeypatch.setattr(segnet, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(segnet, "_predict", fake)
+    with pytest.raises(_ShardFailed):
+        segnet.predict(img, model)
+    assert len(done) == 1 and done[0].startswith("crackfuse-shard")
