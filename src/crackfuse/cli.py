@@ -108,6 +108,8 @@ def _load_split_samples(manifest):
 
 
 def _fit_patch(requested, dims, divisor):
+    if requested < divisor:
+        raise UsageError(f"patch {requested} is below the model's grid divisor {divisor}")
     best = min(requested, dims[0], dims[1])
     best -= best % divisor
     if best < divisor:

@@ -303,10 +303,8 @@ def apply_geometric(inp, target, flip_h, flip_v, quarter_turns, crop_i, crop_j, 
     return np.ascontiguousarray(x), np.ascontiguousarray(t)
 
 
-def augment(inp, target, rng, patch=None):
+def augment(inp, target, rng, patch):
     """Random flips, k*90 degree rotation, random crop; mask stays binary."""
-    if patch is None:
-        patch = min(inp.shape[-2:])
     flip_h = bool(rng.random() < 0.5)
     flip_v = bool(rng.random() < 0.5)
     k = int(rng.integers(0, 4))
@@ -341,11 +339,11 @@ class DatasetManifest:
         return [i for i in self.ids if self.split[i] == "val"]
 
 
-def split_ids(ids, seed, train_fraction=0.8):
-    """Shuffle deterministically, assign floor(n * fraction) ids to train."""
+def split_ids(ids, seed):
+    """Shuffle deterministically, assign floor(0.8 n) ids to train."""
     order = list(ids)
     named_rng(seed, "split").shuffle(order)
-    n_train = int(len(order) * train_fraction + 1e-9)
+    n_train = int(len(order) * 0.8 + 1e-9)
     return {i: ("train" if k < n_train else "val") for k, i in enumerate(order)}
 
 
@@ -485,7 +483,7 @@ class BatchSource:
         named_rng(self.seed, f"epoch.{epoch}").shuffle(order)
         take = order[slot * self.batch_size:(slot + 1) * self.batch_size]
         if len(take) < self.batch_size:  # drop ragged tail, wrap into the epoch start
-            take = (take + order)[: self.batch_size]
+            take = (take + order * self.batch_size)[: self.batch_size]  # as often as it takes
         rng = named_rng(self.seed, f"aug.{iteration}")
         xs, ts = [], []
         for sid in take:

@@ -61,23 +61,20 @@ class ConfusionMatrix:
             raise ValueError("mIoU undefined: every class is empty")
         return float(vals[present].mean())
 
-    def report(self, image_count=None) -> dict:
-        vals = self.iou()
-        rep = {
+    def report(self, image_count) -> dict:
+        return {
             "miou": self.miou(),
-            "iou_per_class": [None if math.isnan(v) else float(v) for v in vals],
+            "iou_per_class": [None if math.isnan(v) else float(v) for v in self.iou()],
             "pixel_counts": {
                 "tp": self.tp.tolist(), "fp": self.fp.tolist(),
                 "fn": self.fn.tolist(), "tn": self.tn.tolist(),
             },
+            "image_count": image_count,
         }
-        if image_count is not None:
-            rep["image_count"] = image_count
-        return rep
 
 
-def psnr(a, b, peak=1.0) -> float:
-    """10*log10(peak^2 / MSE); returns inf when the inputs match exactly."""
+def psnr(a, b) -> float:
+    """10*log10(1 / MSE) of [0, 1] images; returns inf when they match exactly."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -85,7 +82,7 @@ def psnr(a, b, peak=1.0) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def psnr_for_log(value: float) -> float:

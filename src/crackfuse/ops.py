@@ -8,7 +8,8 @@ cheapest form of what its backward reads, and recomputes whatever one
 elementwise pass or one small GEMM gives back bit for bit (relu keeps a bool
 mask, silu only its input). A network written as a list of steps runs through
 walk, which keeps each step's vjp only for a caller that asks for them, so a
-forward-only pass holds no closure past the step that made it.
+forward-only pass holds no closure past the step that made it; walk_back
+replays the kept vjps last first and collects the weight gradients by name.
 
 Layout conventions: feature axes last for pointwise/affine ops; the convs
 take image batches ``[B, C, H, W]`` only, and the resamplers act on the last
@@ -19,6 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from .trees import tree_flatten
 
 
 def _sigmoid(x):
@@ -229,15 +232,27 @@ def conv2d(x, w, b):
 
 
 def walk(steps, x, vjps=None):
-    """Run x through steps, (name, step) pairs with step(x) -> (y, vjp), and
-    return the last output. Appends (name, vjp) to vjps when given a list;
-    without one each vjp is dropped as soon as its step returns."""
-    for name, step in steps:
+    """Run x through steps, (names, step) pairs with step(x) -> (y, vjp), and
+    return the last output; names has a weight-tree name for each gradient
+    but the input's that vjp returns. Appends (names, vjp) to vjps when given
+    a list; without one each vjp is dropped as soon as its step returns."""
+    for names, step in steps:
         x, vjp = step(x)
         if vjps is not None:
-            vjps.append((name, vjp))
+            vjps.append((names, vjp))
         del vjp
     return x
+
+
+def walk_back(vjps, dy, grads):
+    """Replay the (names, vjp) pairs that walk kept, last first, from dy, and
+    return the walk input's gradient. The weight gradients go into the flat
+    dict grads as tree leaves under their names, for trees.tree_unflatten."""
+    for names, vjp in reversed(vjps):
+        dy, *g = vjp(dy)
+        for name, gi in zip(names, g):
+            grads.update(tree_flatten(gi, name))
+    return dy
 
 
 # ---------------------------------------------------------------------------

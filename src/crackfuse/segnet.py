@@ -5,10 +5,12 @@ Every layer takes a batch: images are [B, C, H, W], token grids flow
 channels-last ([B, H, W, C]), and the decoder works channels-first
 ([B, C, h, w]) because it is convolutional. model_forward (training) and
 predict (inference) check the layout and cast their input to float64; the
-layers behind them take float64 batches as they are. Every composite returns
-(output, vjp) with the backward pass composed by hand from the primitives'
-closures. The encoder's layer order is written once, in _encode's walk;
-predict runs it keeping no vjp, encoder_forward keeps them and runs them back.
+layers behind them take float64 batches as they are. Every layer returns
+(output, vjp), its backward composed by hand from the primitives' closures.
+The networks are chains of named steps, written once: one per encoder stage
+(_encode), one between each two decoder joins (_decode). predict walks them
+keeping no vjp; encoder_forward and uper_decode keep the vjps, run them back
+with ops.walk_back and write only the joins by hand.
 
 model_forward and predict cut a large batch into two fixed, contiguous
 shards (_shards) and run the second on a worker thread while the first runs
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import scan2d, ssm
 from .ops import (_linear_grads, conv2d, depthwise_conv2d, layer_norm, linear, relu,
-                  resize_bilinear, adaptive_avg_pool2d, silu, walk)
+                  resize_bilinear, adaptive_avg_pool2d, silu, walk, walk_back)
 from .trees import tree_flatten, tree_unflatten
 
 POOL_BINS = (1, 2, 3, 6)
@@ -304,20 +306,25 @@ def downsample(x, w: DownsampleWeights):
     return y, vjp
 
 
+def _chain(vjps, key, steps, x):
+    """walk steps from x, keeping their vjps as vjps[key] when vjps is a dict."""
+    return walk(steps, x, None if vjps is None else vjps.setdefault(key, []))
+
+
 def _encode(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False, vjps=None):
-    """The encoder's one layer walk over [B, C, H, W] images: embed, then for
+    """The encoder's layer walk over [B, C, H, W] images: embed, then for
     each stage i the downsample into it (downs.{i-1}) and its blocks
     (stages.{i}.{j}), each step named by its weights' place in the tree.
-    Returns the per-stage grids; appends each step's (name, vjp) to vjps when
-    given a list."""
+    Returns the per-stage grids; with a vjps dict, keeps stage i's chain
+    under key i."""
     cfg.check_input(*image.shape[2:])
-    entries = [("embed", lambda x: patch_embed(x, enc.embed, cfg))]
-    entries += [(f"downs.{i}", lambda x, w=w: downsample(x, w)) for i, w in enumerate(enc.downs)]
+    entries = [(("embed",), lambda x: patch_embed(x, enc.embed, cfg))]
+    entries += [((f"downs.{i}",), lambda x, w=w: downsample(x, w)) for i, w in enumerate(enc.downs)]
     feats, t = [], image
     for i, (entry, blocks) in enumerate(zip(entries, enc.stages)):
-        steps = [entry] + [(f"stages.{i}.{j}", lambda x, w=w: vss_block(x, w, parallel=parallel))
+        steps = [entry] + [((f"stages.{i}.{j}",), lambda x, w=w: vss_block(x, w, parallel=parallel))
                            for j, w in enumerate(blocks)]
-        t = walk(steps, t, vjps)
+        t = _chain(vjps, i, steps, t)
         feats.append(t)
     return feats
 
@@ -329,116 +336,97 @@ def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False
     Returns the per-stage feature grids ([B, h, w, C_i], channels-last) and
     a vjp mapping per-stage upstream grads to (dimage, EncoderWeights grads).
     """
-    vjps = []
-    feats = _encode(image, enc, cfg, parallel, vjps)
-    # the place in vjps of each stage's last step -> that stage
-    ends = {int(k) - 1: i for i, k in enumerate(np.cumsum([1 + len(b) for b in enc.stages]))}
+    chains = {}
+    feats = _encode(image, enc, cfg, parallel, chains)
 
     def vjp(dfeats):
         if len(dfeats) != len(feats):
             raise ValueError(f"expected {len(feats)} upstream grids, got {len(dfeats)}")
         flat, dt = {}, None
-        for k in reversed(range(len(vjps))):
-            if k in ends:
-                dt = dfeats[ends[k]] if dt is None else dt + dfeats[ends[k]]
-            name, step_vjp = vjps[k]
-            dt, g = step_vjp(dt)
-            flat.update(tree_flatten(g, name))
+        for i in reversed(range(len(feats))):
+            dt = dfeats[i] if dt is None else dt + dfeats[i]
+            dt = walk_back(chains[i], dt, flat)
         return dt, tree_unflatten(enc, flat)
 
     return feats, vjp
 
 
-def _conv_relu(x, cw: ConvWeights):
-    t, vjp_c = conv2d(x, cw.w, cw.b)
-    y, vjp_r = relu(t)
-
-    def vjp(dy):
-        dt = vjp_r(dy)[0]
-        dx, dw, db = vjp_c(dt)
-        return dx, ConvWeights(w=dw, b=db)
-
-    return y, vjp
+def _conv(name, cw: ConvWeights):
+    """A step: conv2d with cw, its gradients named {name}.w and {name}.b."""
+    return (f"{name}.w", f"{name}.b"), lambda x: conv2d(x, cw.w, cw.b)
 
 
-def uper_decode(features, w: DecoderWeights, out_h, out_w):
+def _resize(h, w):
+    """A step: bilinear resize to h x w."""
+    return (), lambda x: resize_bilinear(x, h, w)
+
+
+def _decode(features, w: DecoderWeights, out_h, out_w, vjps=None):
     """Pyramid pooling on the deepest grid, top-down lateral fusion, all-level
     concat + fuse, then per-class logits [B, K, out_h, out_w].
 
     features are [B, h, w, C] channels-last grids ordered shallow to deep;
-    any count >= 2 is accepted (the reduced gradient-check config uses two).
+    any count >= 2 is accepted (the reduced gradient checks use two and three).
+    Each chain between two joins is a walk of steps named by their weights'
+    place in w; with a vjps dict, each chain is kept under its key.
     """
     if len(features) < 2:
         raise ValueError("decoder expects at least two feature levels")
-    n = len(features)
     f4 = [x.transpose(0, 3, 1, 2) for x in features]  # [B,C,h,w]
     deep = f4[-1]
-
-    def ppm_branch(bins, cw):
-        pooled, vjp_pool = adaptive_avg_pool2d(deep, bins, bins)
-        conv, vjp_cr = _conv_relu(pooled, cw)
-        up, vjp_up = resize_bilinear(conv, *deep.shape[2:])
-
-        def vjp(dup):
-            dpooled, dcw = vjp_cr(vjp_up(dup)[0])
-            return vjp_pool(dpooled)[0], dcw
-
-        return up, vjp
-
-    # the vjp keeps only the closures, not the upsampled arrays
-    ppm_ups, ppm_vjps = zip(*[ppm_branch(bins, cw) for bins, cw in zip(POOL_BINS, w.ppm_convs)])
-    top, vjp_top = _conv_relu(np.concatenate([deep, *ppm_ups], axis=1), w.ppm_fuse)
+    # each step runs inside _chain, so a lambda reads the loop's current values
+    ppm = [_chain(vjps, ("ppm", i), [((), lambda x: adaptive_avg_pool2d(x, bins, bins)),
+                                     _conv(f"ppm_convs.{i}", cw), ((), relu),
+                                     _resize(*deep.shape[2:])], deep)
+           for i, (bins, cw) in enumerate(zip(POOL_BINS, w.ppm_convs))]
+    acc = _chain(vjps, "ppm_fuse", [_conv("ppm_fuse", w.ppm_fuse), ((), relu)],
+                 np.concatenate([deep, *ppm], axis=1))
 
     # top-down, deep to shallow: each level smooths its lateral plus the
-    # upsampled sum of the level above; steps end up ordered shallow to deep
-    levels, steps = [top], []
-    acc = top
-    for f, lw, sw in zip(f4[-2::-1], w.laterals[::-1], w.smooths[::-1]):
-        lat, vjp_lat = _conv_relu(f, lw)
-        acc, vjp_up = resize_bilinear(acc, *f.shape[2:])
-        acc = lat + acc
-        level, vjp_smooth = _conv_relu(acc, sw)
-        levels.insert(0, level)
-        steps.insert(0, (vjp_lat, vjp_up, vjp_smooth))
+    # upsampled sum of the level above
+    levels = [acc]
+    for i in reversed(range(len(f4) - 1)):
+        lat = _chain(vjps, ("laterals", i), [_conv(f"laterals.{i}", w.laterals[i]), ((), relu)], f4[i])
+        acc = lat + _chain(vjps, ("up", i), [_resize(*f4[i].shape[2:])], acc)
+        levels.insert(0, _chain(vjps, ("smooths", i),
+                                [_conv(f"smooths.{i}", w.smooths[i]), ((), relu)], acc))
 
-    ups, up_vjps = zip(*[resize_bilinear(level, *f4[0].shape[2:]) for level in levels[1:]])
-    cat_all = np.concatenate([levels[0], *ups], axis=1)
-    fused, vjp_fuse = _conv_relu(cat_all, w.fuse)
-    grid_logits, vjp_cls = conv2d(fused, w.classifier.w, w.classifier.b)
-    logits, vjp_out = resize_bilinear(grid_logits, out_h, out_w)
+    lifts = [_chain(vjps, ("lift", i), [_resize(*f4[0].shape[2:])], levels[i])
+             for i in range(1, len(levels))]
+    head = [_conv("fuse", w.fuse), ((), relu), _conv("classifier", w.classifier),
+            _resize(out_h, out_w)]
+    return _chain(vjps, "head", head, np.concatenate([levels[0], *lifts], axis=1))
+
+
+def uper_decode(features, w: DecoderWeights, out_h, out_w):
+    """_decode keeping its chains: returns logits and a vjp(dlogits) ->
+    (per-level gradients, channels-last, shallow to deep; DecoderWeights
+    gradient). Only the joins between chains are written here."""
+    chains = {}
+    logits = _decode(features, w, out_h, out_w, chains)
+    n, c = len(features), features[-1].shape[-1]
 
     def vjp(dlogits):
-        dfused, dcls_w, dcls_b = vjp_cls(vjp_out(dlogits)[0])
-        dcat_all, dfuse = vjp_fuse(dfused)
-        dparts = np.split(dcat_all, n, axis=1)
-        dlevels = dparts[:1] + [vjp_mu(d)[0] for vjp_mu, d in zip(up_vjps, dparts[1:])]
+        flat = {}
 
-        dfeat, dlats, dsmooths = [], [], []
-        carry = None  # grad flowing into acc at the current level from below
-        for (vjp_lat, vjp_up, vjp_smooth), dlevel in zip(steps, dlevels):
-            dacc, dsmooth = vjp_smooth(dlevel)
+        def back(key, d):
+            return walk_back(chains[key], d, flat)
+
+        dparts = np.split(back("head", dlogits), n, axis=1)
+        dlevels = dparts[:1] + [back(("lift", i), d) for i, d in enumerate(dparts[1:], 1)]
+        dfeat, carry = [], None  # carry: grad flowing into acc at this level from below
+        for i, dlevel in enumerate(dlevels[:-1]):
+            dacc = back(("smooths", i), dlevel)
             if carry is not None:
                 dacc = dacc + carry
-            dfeat_i, dlat = vjp_lat(dacc)
-            carry = vjp_up(dacc)[0]
-            dfeat.append(dfeat_i)
-            dlats.append(dlat)
-            dsmooths.append(dsmooth)
-        dcat_deep, dppm_fuse = vjp_top(dlevels[-1] + carry)
-        ddeep = dcat_deep[:, : deep.shape[1]]
-        dppm_convs = []
-        dups = np.split(dcat_deep[:, deep.shape[1] :], len(ppm_vjps), axis=1)
-        for vjp_branch, dup in zip(ppm_vjps, dups):
-            dpool, dcw = vjp_branch(dup)
-            ddeep = ddeep + dpool
-            dppm_convs.append(dcw)
+            dfeat.append(back(("laterals", i), dacc))
+            carry = back(("up", i), dacc)
+        dcat = back("ppm_fuse", dlevels[-1] + carry)
+        ddeep = dcat[:, :c]
+        for i, dup in enumerate(np.split(dcat[:, c:], len(POOL_BINS), axis=1)):
+            ddeep = ddeep + back(("ppm", i), dup)
         dfeat.append(ddeep)
-
-        dgrads = DecoderWeights(
-            ppm_convs=dppm_convs, ppm_fuse=dppm_fuse, laterals=dlats,
-            smooths=dsmooths, fuse=dfuse, classifier=ConvWeights(w=dcls_w, b=dcls_b),
-        )
-        return [d.transpose(0, 2, 3, 1) for d in dfeat], dgrads
+        return [d.transpose(0, 2, 3, 1) for d in dfeat], tree_unflatten(w, flat)
 
     return logits, vjp
 
@@ -555,8 +543,8 @@ def _model_forward(img, model: SegModel, parallel):
 
 
 def predict(image, model: SegModel):
-    """model_forward's logits, bit for bit, for inference: the encoder walk
-    keeps no step's vjp, and the decoder's closures go when it returns."""
+    """model_forward's logits, bit for bit, for inference: the encoder and
+    decoder walks keep no step's vjp past the step that made it."""
     img = _images(image, model.cfg)
     shards = _shards(img)
     if len(shards) == 1:
@@ -568,4 +556,4 @@ def predict(image, model: SegModel):
 def _predict(img, model: SegModel):
     """predict of one shard, a float64 [B, C, H, W] batch."""
     feats = _encode(img, model.weights.encoder, model.cfg)
-    return uper_decode(feats, model.weights.decoder, *img.shape[2:])[0]
+    return _decode(feats, model.weights.decoder, *img.shape[2:])

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import metrics
-from .ops import clamp01, conv2d, relu, resize_bicubic, walk
+from .ops import clamp01, conv2d, relu, resize_bicubic, walk, walk_back
 from .train import (adamw_step, init_optimizer, manifest_field, restore_checkpoint,
                     save_checkpoint)
 from .trees import tree_flatten, tree_unflatten
@@ -110,11 +110,8 @@ def sr_forward(m: SrModel, low, out_h, out_w):
     y, vjp_clamp = _reconstruct(m, low, out_h, out_w, vjps)
 
     def vjp(dy):
-        ds = vjp_clamp(dy)[0][None]
         grads = {}
-        for names, step_vjp in reversed(vjps):
-            ds, *g = step_vjp(ds)
-            grads.update(zip(names, g))
+        walk_back(vjps, vjp_clamp(dy)[0][None], grads)
         return replace(m, **grads)
 
     return y, vjp

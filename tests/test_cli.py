@@ -21,7 +21,7 @@ def dir_digest(root):
         for name in sorted(files):
             p = os.path.join(dirpath, name)
             h.update(name.encode())
-            h.update(open(p, "rb").read())
+            h.update(Path(p).read_bytes())
     return h.hexdigest()
 
 
@@ -226,6 +226,13 @@ def test_eval_untrained_model_valid_report(dataset, capsys):
     assert 0.0 <= rep["miou"] <= 1.0
     assert rep["image_count"] >= 1
     assert "pixel_counts" in rep
+
+
+def test_eval_patch_below_grid_divisor_names_patch(dataset, capsys):
+    # the default model's grid divisor is 24; the 48 x 48 images are not at fault
+    assert run_cli("eval", "--data", str(dataset), "--variant", "P_RGB", "--patch", "12") == 1
+    err = capsys.readouterr().err
+    assert "patch 12" in err and "24" in err and "too small" not in err
 
 
 def test_eval_checkpoint_roundtrip(dataset, tmp_path, capsys):

@@ -288,6 +288,18 @@ def test_batch_shapes_and_epoch_coverage():
     assert seen == set(ids)
 
 
+def test_train_batches_full_on_splits_smaller_than_half_a_batch():
+    samples = small_dataset(n=3)
+    table = data.materialize(samples, "P_RGB")
+    ids = [s.id for s in samples]
+    src = data.BatchSource(table, ids, batch_size=8, patch=24, seed=2)
+    for it in (0, 1, 4):
+        xs, ts, got = src.batch(it)
+        assert xs.shape == (8, 3, 24, 24) and ts.shape == (8, 24, 24)
+        # the epoch's order, wrapped as often as the batch needs
+        assert got == got[:3] * 2 + got[:2] and sorted(got[:3]) == sorted(ids)
+
+
 def test_empty_split_rejected():
     with pytest.raises(ValueError, match="empty"):
         data.BatchSource({}, [], 4, 48, 0)

@@ -301,3 +301,49 @@ def test_grad_check_reports_nonfinite():
     rep = grad_check(nan_op, [np.ones(3)], tol=1e-5, name="nan_op")
     assert not rep.passed
     assert "non-finite" in rep.message
+
+
+def test_walk_back_replays_last_first_and_names_each_gradient():
+    seen = []
+
+    def scale(name, a):
+        def step(x):
+            def vjp(dy):
+                seen.append(name)
+                return dy * a, dy * x
+
+            return x * a, vjp
+
+        return step
+
+    def negate(x):
+        def vjp(dy):
+            seen.append("negate")
+            return (-dy,)
+
+        return -x, vjp
+
+    def affine(w):
+        # its gradient is a weight tree, named under the step's one name
+        def step(x):
+            def vjp(dy):
+                seen.append("affine")
+                return dy * w.w, segnet.DownsampleWeights(w=dy * x, b=dy)
+
+            return x * w.w + w.b, vjp
+
+        return step
+
+    w = segnet.DownsampleWeights(w=np.array([3.0]), b=np.array([1.0]))
+    steps = [(("a",), scale("a", 2.0)), ((), negate), (("layer",), affine(w)),
+             (("c",), scale("c", 5.0))]
+    vjps = []
+    y = ops.walk(steps, np.array([1.5]), vjps)
+    assert y.tolist() == [-40.0]  # 5 * (3 * -(2 * 1.5) + 1)
+    assert [names for names, _ in vjps] == [("a",), (), ("layer",), ("c",)]
+    grads = {}
+    dx = ops.walk_back(vjps, np.array([1.0]), grads)
+    assert seen == ["c", "affine", "negate", "a"]
+    assert dx.tolist() == [-30.0]
+    assert {k: v.tolist() for k, v in grads.items()} == {
+        "c": [-8.0], "layer.w": [-15.0], "layer.b": [5.0], "a": [-22.5]}

@@ -168,11 +168,15 @@ def test_decoder_output_shape_and_finite():
     assert np.all(np.isfinite(logits))
 
 
-def test_decoder_gradcheck_reduced():
-    dec = segnet.init_decoder((4, 8), 4, 2, rng(24))
-    f0 = rng(25).standard_normal((1, 4, 4, 4)) * 0.5
-    f1 = rng(26).standard_normal((1, 2, 2, 8)) * 0.5
-    rep = grad_check(lambda f, w: segnet.uper_decode(f, w, 12, 12), [[f0, f1], dec],
+@pytest.mark.parametrize("levels", [2, 3], ids=["two-levels", "three-levels"])
+def test_decoder_gradcheck_reduced(levels):
+    # three levels reach the top-down carry into a smoothed level and the
+    # lift of a level >= 2, which two levels never do
+    dims = (4, 8, 16)[:levels]
+    dec = segnet.init_decoder(dims, 4, 2, rng(24))
+    feats = [rng(25 + i).standard_normal((1, 2 << (levels - 1 - i), 2 << (levels - 1 - i), d)) * 0.5
+             for i, d in enumerate(dims)]
+    rep = grad_check(lambda f, w: segnet.uper_decode(f, w, 12, 12), [feats, dec],
                      tol=1e-4, name="uper_decode", max_entries_per_input=24)
     assert rep.passed, str(rep)
 
@@ -216,14 +220,15 @@ def test_predict_equals_model_forward_bitwise(cfg):
 
 def test_predict_peak_memory_below_model_forward(peak_bytes):
     # measured on two 48 x 48 frames of the default config: predict peaks at
-    # 0.58 of model_forward (4.71 against 8.11 MB); both build the same
-    # decoder, so the gap is the encoder's closures that predict drops
+    # 0.50 of model_forward (4.03 against 8.11 MB), since predict keeps no
+    # step's closure in the encoder or the decoder; the bound is that ratio
+    # plus 10%
     model = segnet.init_model(TOY, rng(7))
     image = rng(8).standard_normal((2, 6, 48, 48))
     segnet.model_forward(image, model)  # first-call caches stay out of the count
     _, train_peak = peak_bytes(lambda im: segnet.model_forward(im, model), image.copy)
     _, infer_peak = peak_bytes(lambda im: segnet.predict(im, model), image.copy)
-    assert infer_peak <= 0.65 * train_peak, (infer_peak, train_peak)
+    assert infer_peak <= 0.55 * train_peak, (infer_peak, train_peak)
 
 
 # tracemalloc bytes that model_forward's logits and vjp keep alive for two
