@@ -31,6 +31,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low):
+    """argparse type: an integer count of at least low."""
+    def count(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return n
+    return count
+
+
 def _parse_dims(text):
     try:
         w, h = (int(v) for v in text.lower().split("x"))
@@ -312,6 +325,8 @@ def cmd_gradcheck(args):
 
 
 def cmd_bench_scan(args):
+    if args.max_pow < args.min_pow:
+        raise UsageError(f"--max-pow {args.max_pow} is below --min-pow {args.min_pow}")
     lengths = [1 << k for k in range(args.min_pow, args.max_pow + 1)]
     rows = ssm.bench_scan(lengths=lengths, reps=args.reps)
     print(f"{'L':>8s} {'seq_ms':>10s} {'par_ms':>10s} {'ratio_seq':>10s} {'ratio_par':>10s}")
@@ -348,7 +363,7 @@ def build_parser():
     s.add_argument("--data", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--report", default=None)
-    s.add_argument("--iters", type=int, default=300)
+    s.add_argument("--iters", type=_at_least(0), default=300)
     s.add_argument("--lr", type=float, default=2e-3)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=cmd_sr_train)
@@ -385,8 +400,8 @@ def build_parser():
     s = sub.add_parser("ablate", help="train/evaluate all four input variants")
     s.add_argument("--data", required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--iters", type=int, default=400)
-    s.add_argument("--sr-iters", type=int, default=150)
+    s.add_argument("--iters", type=_at_least(1), default=400)
+    s.add_argument("--sr-iters", type=_at_least(0), default=150)
     s.add_argument("--lr", type=float, default=1e-3)
     s.add_argument("--batch-size", type=int, default=8)
     s.add_argument("--patch", type=int, default=48)
@@ -399,9 +414,9 @@ def build_parser():
     s.set_defaults(fn=cmd_gradcheck)
 
     s = sub.add_parser("bench-scan", help="time the sequential and parallel scans")
-    s.add_argument("--reps", type=int, default=11)
-    s.add_argument("--min-pow", type=int, default=12)
-    s.add_argument("--max-pow", type=int, default=18)
+    s.add_argument("--reps", type=_at_least(1), default=11)
+    s.add_argument("--min-pow", type=_at_least(0), default=12)
+    s.add_argument("--max-pow", type=_at_least(0), default=18)
     s.add_argument("--out", default=None)
     s.set_defaults(fn=cmd_bench_scan)
 

@@ -1,11 +1,12 @@
 """Four-direction serialization of a patch grid and the 2d selective scan.
 
-A batch of [H, W, C] token grids, [B, H, W, C], is flattened along four
-traversal orders (left to right, top to bottom, right to left, bottom to
-top), the four sequences run through their own selective-scan weights as
-one stacked batch, and the results are scattered back onto the grid and
-summed. Summation order is fixed (LR, TB, RL, BT) so the merge is
-deterministic.
+A batch of [H, W, C] token grids, [B, H, W, C], is read along four fixed
+traversals (left to right, top to bottom, right to left, bottom to top).
+Each is a view of the grid: the rows flattened, the columns flattened (the
+grid transposed), and both reversed. The four sequences run through their
+own selective-scan weights as one stacked batch, and the results are viewed
+back onto the grid and summed. Summation order is fixed (LR, TB, RL, BT) so
+the merge is deterministic.
 """
 from __future__ import annotations
 
@@ -16,51 +17,28 @@ from . import ssm
 DIRECTIONS = ("LR", "TB", "RL", "BT")
 
 
-def scan_order(direction: str, height: int, width: int) -> np.ndarray:
-    """The bijection between grid positions (row-major) and sequence slots:
-    sequence slot i reads grid position perm[i]."""
-    if height < 1 or width < 1:
-        raise ValueError(f"grid extents must be >= 1, got {height}x{width}")
-    n = height * width
-    if direction == "LR":
-        perm = np.arange(n)
-    elif direction == "TB":
-        perm = np.arange(n).reshape(height, width).T.reshape(-1)
-    elif direction == "RL":
-        perm = np.arange(n)[::-1].copy()
-    elif direction == "BT":
-        perm = np.arange(n).reshape(height, width).T.reshape(-1)[::-1].copy()
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return perm
-
-
-def _indices(height, width):
-    """[4, L] gather (perm) and scatter (inv) indices, one row per direction."""
-    perm = np.stack([scan_order(d, height, width) for d in DIRECTIONS])
-    return perm, np.argsort(perm, axis=1)
-
-
 def cross_scan(x):
     """Flatten a [B, H, W, C] grid into the four direction sequences,
     stacked as [4, B, L, C] with L = H*W, in DIRECTIONS order."""
     b, h, w, c = x.shape
-    perm, _ = _indices(h, w)
-    return np.moveaxis(x.reshape(b, h * w, c)[:, perm], 1, 0)
+    rows = x.reshape(b, h * w, c)
+    cols = x.transpose(0, 2, 1, 3).reshape(b, h * w, c)
+    return np.stack([rows, cols, rows[:, ::-1], cols[:, ::-1]])
 
 
 def cross_merge(ys, height, width):
-    """Inverse layout of cross_scan: un-permute each direction of the stacked
-    ys [4, B, L, C] onto the [B, height, width, C] grid and sum them, always
-    in the order LR, TB, RL, BT."""
+    """Inverse layout of cross_scan: view each direction of the stacked ys
+    [4, B, L, C] back onto the [B, height, width, C] grid and sum them,
+    always in the order LR, TB, RL, BT."""
     _, b, n, c = ys.shape
     if n != height * width:
         raise ValueError(f"sequence length {n} != {height}x{width}")
-    _, inv = _indices(height, width)
-    out = ys[0][:, inv[0]]
-    for s, idx in zip(ys[1:], inv[1:]):
-        out += s[:, idx]
-    return out.reshape(b, height, width, c)
+    grid, transposed = (b, height, width, c), (b, width, height, c)
+    out = ys[0].reshape(grid).copy()
+    out += ys[1].reshape(transposed).transpose(0, 2, 1, 3)
+    out += ys[2][:, ::-1].reshape(grid)
+    out += ys[3][:, ::-1].reshape(transposed).transpose(0, 2, 1, 3)
+    return out
 
 
 def ss2d(x, params, parallel=False):

@@ -286,22 +286,21 @@ def vss_block(x, w: BlockWeights, parallel=False):
 
 def downsample(x, w: DownsampleWeights):
     """2x2 patch merging of a [B, H, W, C] grid: concatenate the four
-    sub-positions, project 4C -> 2C."""
+    sub-positions, project 4C -> 2C. The concat order, which checkpoints
+    depend on, is (even row, even column), (odd, even), (even, odd),
+    (odd, odd): the column parity is the major index, the row parity the
+    minor one."""
     b, h, wd, c = x.shape
     if h % 2 or wd % 2:
         raise ValueError(f"downsample needs even extents, got {h}x{wd}")
-    parts = np.concatenate([x[:, 0::2, 0::2], x[:, 1::2, 0::2],
-                            x[:, 0::2, 1::2], x[:, 1::2, 1::2]], axis=-1)
-    y, vjp_lin = linear(parts, w.w, w.b)
+    # [B, H/2, row parity, W/2, column parity, C] -> [B, H/2, W/2, column, row, C]
+    parts = x.reshape(b, h // 2, 2, wd // 2, 2, c).transpose(0, 1, 3, 4, 2, 5)
+    y, vjp_lin = linear(parts.reshape(b, h // 2, wd // 2, 4 * c), w.w, w.b)
 
     def vjp(dy):
         dparts, dw, db = vjp_lin(dy)
-        dx = np.zeros_like(x)
-        dx[:, 0::2, 0::2] = dparts[..., 0 * c:1 * c]
-        dx[:, 1::2, 0::2] = dparts[..., 1 * c:2 * c]
-        dx[:, 0::2, 1::2] = dparts[..., 2 * c:3 * c]
-        dx[:, 1::2, 1::2] = dparts[..., 3 * c:4 * c]
-        return dx, DownsampleWeights(w=dw, b=db)
+        dx = dparts.reshape(b, h // 2, wd // 2, 2, 2, c).transpose(0, 1, 4, 2, 3, 5)
+        return dx.reshape(b, h, wd, c), DownsampleWeights(w=dw, b=db)
 
     return y, vjp
 
@@ -436,6 +435,8 @@ def _images(image, cfg: ModelConfig):
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 4:
         raise ValueError(f"expected a [B, C, H, W] batch of images, got shape {img.shape}")
+    if 0 in img.shape:
+        raise ValueError(f"expected a non-empty [B, C, H, W] batch of images, got shape {img.shape}")
     if img.shape[1] != cfg.in_channels:
         raise ValueError(f"channel mismatch: expected {cfg.in_channels} input channels, "
                          f"got {img.shape[1]}")

@@ -414,6 +414,22 @@ def test_bench_scan_table_structure(tmp_path, capsys):
     assert "median sequential doubling ratio" in text
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("ablate", "--data", "d", "--iters", "0"), "--iters"),
+    (("sr-train", "--data", "d", "--out", "o", "--iters", "-4"), "--iters"),
+    (("ablate", "--data", "d", "--sr-iters", "-3"), "--sr-iters"),
+    (("bench-scan", "--reps", "0"), "--reps"),
+    (("bench-scan", "--min-pow", "-1"), "--min-pow"),
+    (("bench-scan", "--min-pow", "6", "--max-pow", "4"), "--max-pow"),
+], ids=["ablate-iters", "sr-train-iters", "ablate-sr-iters", "bench-reps", "bench-min-pow",
+        "bench-pow-range"])
+def test_counts_checked_where_they_enter(argv, flag, capsys):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_runtime_failure_exit_code(tmp_path):
     assert run_cli("eval", "--data", str(tmp_path / "missing")) == 2
 

@@ -1,11 +1,12 @@
 import dataclasses
+import re
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from crackfuse import segnet, train
+from crackfuse import ops, segnet, train
 from crackfuse.gradcheck import grad_check
 from crackfuse.trees import tree_flatten
 
@@ -101,6 +102,24 @@ def test_downsample_shape_and_constant():
     np.testing.assert_allclose(yc, np.broadcast_to(yc[0, 0, 0], yc.shape), atol=1e-12)
     with pytest.raises(ValueError, match="even"):
         segnet.downsample(np.zeros((1, 3, 4, 8)), w)
+
+
+def test_downsample_concat_order_matches_strided_slices():
+    # the concat order is part of every stored checkpoint's weights: pin it
+    # against the four strided slices it was first written as
+    w = segnet.DownsampleWeights(w=rng(30).standard_normal((12, 6)), b=rng(31).standard_normal(6))
+    x = rng(32).standard_normal((2, 4, 6, 3))
+    parts = np.concatenate([x[:, 0::2, 0::2], x[:, 1::2, 0::2],
+                            x[:, 0::2, 1::2], x[:, 1::2, 1::2]], axis=-1)
+    want_y, vjp_lin = ops.linear(parts, w.w, w.b)
+    y, vjp = segnet.downsample(x, w)
+    np.testing.assert_array_equal(y, want_y)
+    dy = rng(33).standard_normal(y.shape)
+    dparts = vjp_lin(dy)[0]
+    want = np.zeros_like(x)
+    for k, (r, s) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
+        want[:, r::2, s::2] = dparts[..., k * 3:(k + 1) * 3]
+    np.testing.assert_array_equal(vjp(dy)[0], want)
 
 
 def test_downsample_gradcheck():
@@ -432,3 +451,12 @@ def test_shard_failure_in_first_waits_for_second(monkeypatch):
     with pytest.raises(_ShardFailed):
         segnet.predict(img, model)
     assert len(done) == 1 and done[0].startswith("crackfuse-shard")
+
+
+@pytest.mark.parametrize("shape", [(0, 6, 24, 24), (1, 6, 0, 0), (1, 6, 0, 24)],
+                         ids=["no-images", "no-pixels", "no-rows"])
+@pytest.mark.parametrize("entry", ["model_forward", "predict"])
+def test_empty_images_rejected(entry, shape):
+    model = segnet.init_model(TOY, rng(40))
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        getattr(segnet, entry)(np.zeros(shape), model)
