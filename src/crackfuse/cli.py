@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least(low):
-    """argparse type: an integer count of at least low."""
+    """argparse type: an integer of at least low (a count or a seed)."""
     def count(text):
         try:
             n = int(text)
@@ -42,6 +42,17 @@ def _at_least(low):
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         return n
     return count
+
+
+def _positive(text):
+    """argparse type: a finite number above zero."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return x
 
 
 def _parse_dims(text):
@@ -351,7 +362,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate a synthetic RGB+IR crack dataset")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_at_least(0), default=0)
     s.add_argument("--count", type=int, required=True)
     s.add_argument("--rgb-dims", default="96x96")
     s.add_argument("--ir-factor", default="2")
@@ -364,8 +375,8 @@ def build_parser():
     s.add_argument("--out", required=True)
     s.add_argument("--report", default=None)
     s.add_argument("--iters", type=_at_least(0), default=300)
-    s.add_argument("--lr", type=float, default=2e-3)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--lr", type=_positive, default=2e-3)
+    s.add_argument("--seed", type=_at_least(0), default=0)
     s.set_defaults(fn=cmd_sr_train)
 
     s = sub.add_parser("sr-apply", help="super-resolve IR images to the RGB grid")
@@ -394,15 +405,15 @@ def build_parser():
     s.add_argument("--sr-checkpoint", default=None)
     s.add_argument("--patch", type=int, default=48)
     s.add_argument("--batch-size", type=int, default=8)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_at_least(0), default=0)
     s.set_defaults(fn=cmd_eval)
 
     s = sub.add_parser("ablate", help="train/evaluate all four input variants")
     s.add_argument("--data", required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_at_least(0), default=0)
     s.add_argument("--iters", type=_at_least(1), default=400)
     s.add_argument("--sr-iters", type=_at_least(0), default=150)
-    s.add_argument("--lr", type=float, default=1e-3)
+    s.add_argument("--lr", type=_positive, default=1e-3)
     s.add_argument("--batch-size", type=int, default=8)
     s.add_argument("--patch", type=int, default=48)
     s.add_argument("--work-dir", default="ablate_work")
@@ -410,7 +421,7 @@ def build_parser():
     s.set_defaults(fn=cmd_ablate)
 
     s = sub.add_parser("gradcheck", help="run the finite-difference gradient suite")
-    s.add_argument("--tol", type=float, default=1e-4)
+    s.add_argument("--tol", type=_positive, default=1e-4)
     s.set_defaults(fn=cmd_gradcheck)
 
     s = sub.add_parser("bench-scan", help="time the sequential and parallel scans")

@@ -13,7 +13,9 @@ replays the kept vjps last first and collects the weight gradients by name.
 
 Layout conventions: feature axes last for pointwise/affine ops; the convs
 take image batches ``[B, C, H, W]`` only, and the resamplers act on the last
-two axes of any array.
+two axes of any array. Every operation computes in its input's float dtype,
+work arrays included, so float32 in gives float32 out. The resamplers take
+an integer array as float64; the convs take float batches only.
 """
 from __future__ import annotations
 
@@ -141,7 +143,7 @@ def _padded_rows(x, c, kh, kw, op):
         raise ValueError(f"{op}: input has {x.shape[1]} channels, kernel expects {c}")
     bsz, _, h, wd = x.shape
     ph, pw, wp = kh // 2, kw // 2, wd + kw - 1
-    xp = np.zeros((bsz, c, h + kh - 1 + (kw > 1), wp))
+    xp = np.zeros((bsz, c, h + kh - 1 + (kw > 1), wp), dtype=x.dtype)
     xp[:, :, ph : ph + h, pw : pw + wd] = x
     taps = [(u, v, u * wp + v) for u in range(kh) for v in range(kw)]
 
@@ -163,7 +165,7 @@ def depthwise_conv2d(x, k):
     """
     xf, wp, taps, crop, stage = _padded_rows(x, *k.shape, "depthwise_conv2d")
     m = x.shape[2] * wp
-    y = np.zeros(xf.shape[:2] + (m,))
+    y = np.zeros(xf.shape[:2] + (m,), dtype=xf.dtype)
     for u, v, off in taps:
         y += k[:, u, v, None] * xf[..., off : off + m]
 
@@ -199,11 +201,11 @@ def conv2d(x, w, b):
     bsz, _, h, wd = x.shape
     # [kh, kw, Cout, Cin]: each tap's matrix is contiguous, so BLAS takes it as is
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
-    rows = max(1, min(h, _BLOCK_BYTES // max(1, 8 * bsz * co * wp)))
+    rows = max(1, min(h, _BLOCK_BYTES // max(1, xf.itemsize * bsz * co * wp)))
     blocks = [(i, min(rows, h - i)) for i in range(0, h, rows)]
 
-    y = np.empty((bsz, co, h, wd))
-    acc = np.empty((bsz, co, rows * wp))
+    y = np.empty((bsz, co, h, wd), dtype=xf.dtype)
+    acc = np.empty((bsz, co, rows * wp), dtype=xf.dtype)
     tmp = np.empty_like(acc)
     for i, r in blocks:
         s, m = i * wp, r * wp
@@ -218,8 +220,8 @@ def conv2d(x, w, b):
         db = dy.sum(axis=(0, 2, 3))
         dwt = np.zeros_like(wt)
         dxf = np.zeros_like(xf)
-        dyb = np.zeros((bsz, co, rows * wp))
-        tmp = np.empty((bsz, ci, rows * wp))
+        dyb = np.zeros((bsz, co, rows * wp), dtype=xf.dtype)
+        tmp = np.empty((bsz, ci, rows * wp), dtype=xf.dtype)
         for i, r in blocks:
             s, m = i * wp, r * wp
             g, t = stage(dyb, dy[:, :, i : i + r]), tmp[:, :, :m]
@@ -304,8 +306,9 @@ def _separable(x, out_h, out_w, mode):
     if x.ndim < 2:
         raise ValueError(f"expected at least a [H,W] array, got shape {x.shape}")
     h, w = x.shape[-2:]
-    mr = _resample_matrix(h, out_h, mode)
-    mc = _resample_matrix(w, out_w, mode)
+    dt = x.dtype if x.dtype.kind == "f" else np.float64  # integers resample in float64
+    mr = _resample_matrix(h, out_h, mode).astype(dt, copy=False)
+    mc = _resample_matrix(w, out_w, mode).astype(dt, copy=False)
     y = mr @ x @ mc.T
 
     def vjp(dy):

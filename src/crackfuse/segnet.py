@@ -4,8 +4,8 @@ encoder, and a pyramid-pooling / top-down decoder producing per-pixel logits.
 Every layer takes a batch: images are [B, C, H, W], token grids flow
 channels-last ([B, H, W, C]), and the decoder works channels-first
 ([B, C, h, w]) because it is convolutional. model_forward (training) and
-predict (inference) check the layout and cast their input to float64; the
-layers behind them take float64 batches as they are. Every layer returns
+predict (inference) check the layout and cast their input to float64, the
+one dtype decision: every layer computes in its input's dtype. Each returns
 (output, vjp), its backward composed by hand from the primitives' closures.
 The networks are chains of named steps, written once: one per encoder stage
 (_encode), one between each two decoder joins (_decode). predict walks them
@@ -508,12 +508,12 @@ def _sum_grads(g0, g1):
 def model_forward(image, model: SegModel, parallel=False):
     """Full network: [B, C_in, H, W] images -> [B, num_classes, H, W] logits.
 
-    The one entry point to the Stage-2 layers: it casts the images to float64
-    and refuses any other layout, so the layers behind it take float64
-    batches as they are. Returns (logits, vjp) with vjp(dlogits) ->
-    (dimage, ModelWeights gradient). A large batch runs as two shards
-    (_shards) whose logits and dimage are concatenated and whose weight
-    gradients are summed, shard 0 + shard 1.
+    The one entry point to the Stage-2 layers: it casts the images to float64,
+    which the layers behind it compute in since each follows its input's
+    dtype, and refuses any other layout. Returns (logits, vjp) with
+    vjp(dlogits) -> (dimage, ModelWeights gradient). A large batch runs as
+    two shards (_shards) whose logits and dimage are concatenated and whose
+    weight gradients are summed, shard 0 + shard 1.
     """
     img = _images(image, model.cfg)
     shards = _shards(img)
@@ -531,7 +531,7 @@ def model_forward(image, model: SegModel, parallel=False):
 
 
 def _model_forward(img, model: SegModel, parallel):
-    """model_forward of one shard, a float64 [B, C, H, W] batch."""
+    """model_forward of one shard, a [B, C, H, W] batch, in its dtype."""
     feats, vjp_enc = encoder_forward(img, model.weights.encoder, model.cfg, parallel=parallel)
     logits, vjp_dec = uper_decode(feats, model.weights.decoder, *img.shape[2:])
 
@@ -555,6 +555,6 @@ def predict(image, model: SegModel):
 
 
 def _predict(img, model: SegModel):
-    """predict of one shard, a float64 [B, C, H, W] batch."""
+    """predict of one shard, a [B, C, H, W] batch, in its dtype."""
     feats = _encode(img, model.weights.encoder, model.cfg)
     return _decode(feats, model.weights.decoder, *img.shape[2:])

@@ -49,6 +49,16 @@ class SrTrainConfig:
     seed: int = 0
     hidden: int = 32
 
+    def __post_init__(self):
+        # a bool is not a number here, and an lr of 0 trains steps that change nothing
+        for name, least in (("iters", 0), ("seed", 0), ("hidden", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        lr = self.lr
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {lr!r}")
+
 
 class SrDiverged(RuntimeError):
     pass

@@ -105,10 +105,10 @@ class DiscretizedPair:
     small: np.ndarray  # True where the series branch is taken
 
     @classmethod
-    def empty(cls, shape):
+    def empty(cls, shape, dtype):
         """Uninitialized arrays of one shape, to pass as discretize_zoh's out."""
-        return cls(decay=np.empty(shape), gain=np.empty(shape), g=np.empty(shape),
-                   small=np.empty(shape, dtype=bool))
+        return cls(decay=np.empty(shape, dtype), gain=np.empty(shape, dtype),
+                   g=np.empty(shape, dtype), small=np.empty(shape, dtype=bool))
 
     def __getitem__(self, index):
         """The same entries of all four arrays, as views."""
@@ -126,7 +126,6 @@ def discretize_zoh(a, b_t, dt, out=None):
     DiscretizedPair of that shape, receives the result in place of fresh
     arrays (the scan reuses one across its chunks).
     """
-    dt = np.asarray(dt, dtype=np.float64)
     if np.any(dt <= 0.0):
         raise ValueError("discretize_zoh: step sizes must be strictly positive")
     z = np.multiply(dt[..., None, :], a, out=None if out is None else out.gain)
@@ -169,8 +168,8 @@ def linear_recurrence_par(a, u, out=None):
     if L == 0:
         return u.copy() if out is None else out
     P = 1 << (L - 1).bit_length()
-    av = np.ones((P,) + a.shape[1:], dtype=np.float64)
-    uv = np.zeros((P,) + u.shape[1:], dtype=np.float64)
+    av = np.ones((P,) + a.shape[1:], dtype=a.dtype)
+    uv = np.zeros((P,) + u.shape[1:], dtype=u.dtype)
     av[:L] = a
     uv[:L] = u
     levels = P.bit_length() - 1
@@ -213,10 +212,10 @@ def _to_steps(a):
     return np.ascontiguousarray(np.moveaxis(a, 2, 0))
 
 
-def _chunks(length, step_elems):
-    """[start, stop) bounds of the L-chunks: as many steps as keep one float64
-    state array of step_elems a step within ops._BLOCK_BYTES, at least one."""
-    t = max(1, ops._BLOCK_BYTES // (8 * step_elems))
+def _chunks(length, step_bytes):
+    """[start, stop) bounds of the L-chunks: as many steps as keep one state
+    array of step_bytes a step within ops._BLOCK_BYTES, at least one."""
+    t = max(1, ops._BLOCK_BYTES // step_bytes)
     return [(s, min(s + t, length)) for s in range(0, length, t)]
 
 
@@ -272,7 +271,7 @@ def _selective_scan(x, params, parallel: bool):
     a_cn = ps.materialized_a()                   # [K,C,N]
     a = np.swapaxes(a_cn, 1, 2)[:, None]         # [K,1,N,C]: broadcasts against [T,K,B,N,C]
     skip = ps.skip[:, 0]                         # [K,1,C]
-    chunks = _chunks(L, K * B * N * C)
+    chunks = _chunks(L, x.itemsize * K * B * N * C)
     work = (max((e - s for s, e in chunks), default=0), K, B, N, C)  # [T,K,B,N,C]
 
     def states(s, e, h_in, out):
@@ -288,7 +287,7 @@ def _selective_scan(x, params, parallel: bool):
 
     ys = np.empty_like(xs)                       # [L,K,B,C]
     h_ins = [None]                               # entry state of each chunk
-    pair_buf = DiscretizedPair.empty(work)
+    pair_buf = DiscretizedPair.empty(work, x.dtype)
     for s, e in chunks:
         h = states(s, e, h_ins[-1], pair_buf)[2]
         h_ins.append(h[-1].copy())
@@ -303,9 +302,9 @@ def _selective_scan(x, params, parallel: bool):
         dskip = np.einsum("lkbc,lkbc->kc", dys, xs)
         dxs, ddt = np.empty_like(xs), np.empty_like(xs)
         db_t, dc_t = np.empty_like(bs), np.empty_like(cs)
-        da = np.zeros((K, N, C))
-        pair_buf = DiscretizedPair.empty(work)
-        lam_buf, v_buf, w_buf = np.empty(work), np.empty(work), np.empty(work)
+        da = np.zeros((K, N, C), dtype=xs.dtype)
+        pair_buf = DiscretizedPair.empty(work, xs.dtype)
+        lam_buf, v_buf, w_buf = (np.empty(work, xs.dtype) for _ in range(3))
         mu_in = None
         for (s, e), h_in in zip(reversed(chunks), reversed(h_ins)):
             dt_c, pair, h = states(s, e, h_in, pair_buf)

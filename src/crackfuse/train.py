@@ -43,8 +43,12 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _ADMITS[f.type]):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
+        # JSON reads NaN and Infinity, and a clip at or below 0 zeroes or flips the gradient
+        for name, op in (("base_lr", ">"), ("weight_decay", ">="), ("poly_power", ">="),
+                         ("grad_clip", ">")):
+            value = getattr(self, name)
+            if value is not None and (not math.isfinite(value) or value < 0 or value == 0 and op == ">"):
+                raise ValueError(f"{name} must be finite and {op} 0, got {value!r}")
         if not 0 <= self.warmup_iters < self.total_iters:
             raise ValueError(f"warmup_iters must be >= 0 and below total_iters, "
                              f"got {self.warmup_iters} and {self.total_iters}")
@@ -73,7 +77,7 @@ def cross_entropy(logits, target):
     z = logits - m
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
-    onehot = np.moveaxis(np.eye(k)[target], -1, 1)
+    onehot = np.moveaxis(np.eye(k, dtype=logits.dtype)[target], -1, 1)
     count = target.size
     loss = float(-(logp * onehot).sum() / count)
     softmax = np.exp(logp)

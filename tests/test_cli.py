@@ -135,9 +135,19 @@ def test_train_rejects_unknown_keys(dataset, tmp_path, capsys):
 @pytest.mark.parametrize("section,key,value", [("model", "state_dim", "x"),
                                                ("train", "total_iters", "x"),
                                                ("train", "checkpoint_dir", "c\0k"),
-                                               ("train", "checkpoint_dir", "")],
+                                               ("train", "checkpoint_dir", ""),
+                                               # json reads NaN and Infinity; a clip at or
+                                               # below 0 zeroes or flips every gradient
+                                               ("train", "grad_clip", -1),
+                                               ("train", "grad_clip", 0),
+                                               ("train", "base_lr", float("nan")),
+                                               ("train", "weight_decay", float("inf")),
+                                               ("train", "weight_decay", -0.01),
+                                               ("train", "poly_power", -1)],
                          ids=["model-state_dim", "train-total_iters", "train-checkpoint_dir-nul",
-                              "train-checkpoint_dir-empty"])
+                              "train-checkpoint_dir-empty", "train-grad_clip-negative",
+                              "train-grad_clip-zero", "train-base_lr-nan", "train-weight_decay-inf",
+                              "train-weight_decay-negative", "train-poly_power-negative"])
 def test_train_names_mistyped_config_value(dataset, tmp_path, capsys, section, key, value):
     cfg = _run_config(dataset, tmp_path)
     doc = json.loads(cfg.read_text())
@@ -421,8 +431,18 @@ def test_bench_scan_table_structure(tmp_path, capsys):
     (("bench-scan", "--reps", "0"), "--reps"),
     (("bench-scan", "--min-pow", "-1"), "--min-pow"),
     (("bench-scan", "--min-pow", "6", "--max-pow", "4"), "--max-pow"),
+    (("gradcheck", "--tol", "nan"), "--tol"),
+    (("gradcheck", "--tol", "0"), "--tol"),
+    (("gradcheck", "--tol=-1e-4"), "--tol"),
+    (("sr-train", "--data", "d", "--out", "o", "--lr", "0"), "--lr"),
+    (("sr-train", "--data", "d", "--out", "o", "--lr", "-1"), "--lr"),
+    (("sr-train", "--data", "d", "--out", "o", "--lr", "nan"), "--lr"),
+    (("sr-train", "--data", "d", "--out", "o", "--seed", "-1"), "--seed"),
+    (("ablate", "--data", "d", "--lr", "inf"), "--lr"),
+    (("synth", "--count", "1", "--out", "o", "--seed", "-2"), "--seed"),
 ], ids=["ablate-iters", "sr-train-iters", "ablate-sr-iters", "bench-reps", "bench-min-pow",
-        "bench-pow-range"])
+        "bench-pow-range", "tol-nan", "tol-zero", "tol-negative", "sr-lr-zero", "sr-lr-negative",
+        "sr-lr-nan", "sr-seed-negative", "ablate-lr-inf", "synth-seed-negative"])
 def test_counts_checked_where_they_enter(argv, flag, capsys):
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()

@@ -221,6 +221,20 @@ def test_adaptive_pool_upscale_output():
     np.testing.assert_allclose(y[0, 0, 0], 0.0)
 
 
+@pytest.mark.parametrize("op, extents", [(ops.resize_bicubic, (7, 3)), (ops.resize_bilinear, (2, 8)),
+                                         (ops.adaptive_avg_pool2d, (3, 2))],
+                         ids=["bicubic", "bilinear", "pool"])
+def test_resamplers_take_integers_as_float64(op, extents):
+    # the resamplers follow a float input's dtype; integers resample in float64
+    ints = np.arange(20).reshape(4, 5)
+    y, vjp = op(ints, *extents)
+    want, _ = op(ints.astype(np.float64), *extents)
+    assert y.dtype == np.float64 and y.shape == extents
+    np.testing.assert_array_equal(y, want)
+    assert np.abs(y).max() > 1.0
+    assert vjp(np.ones(extents))[0].dtype == np.float64
+
+
 def test_nearest_resize_binary_stays_binary():
     mask = (np.random.default_rng(7).random((9, 9)) < 0.3).astype(np.int64)
     out = ops.resize_nearest(mask, 5, 13)

@@ -192,8 +192,9 @@ def test_ss2d_runs_one_recurrence_each_way(parallel, monkeypatch):
 
 
 def _step_bytes(x, ps):
-    """Bytes of one float64 [K, B, N, C] state step of ss2d's scan."""
-    return 8 * 4 * x.shape[0] * ps[0].state_dim * x.shape[-1]
+    """Bytes of one [K, B, N, C] state step of ss2d's scan on the grid x,
+    whose dtype the scan computes in."""
+    return x.itemsize * 4 * x.shape[0] * ps[0].state_dim * x.shape[-1]
 
 
 @pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
@@ -206,7 +207,7 @@ def test_ss2d_multi_chunk_matches_one_chunk(parallel, monkeypatch):
     want = tree_flatten(dps1)
     for steps in (1, 3, 34):                                   # 35 chunks; 11 + a 2-step one; 34 + 1
         monkeypatch.setattr(ops, "_BLOCK_BYTES", steps * _step_bytes(x, ps))
-        assert len(ssm._chunks(35, 4 * 2 * 2 * 3)) == -(-35 // steps)
+        assert len(ssm._chunks(35, _step_bytes(x, ps))) == -(-35 // steps)
         y, vjp = scan2d.ss2d(x, ps, parallel=parallel)
         dx, dps = vjp(dy)
         assert _rel(y, y1) <= 1e-12 and _rel(dx, dx1) <= 1e-12, steps
@@ -217,7 +218,7 @@ def test_ss2d_multi_chunk_matches_one_chunk(parallel, monkeypatch):
     # finite differences through the chunk carries and the series branch
     monkeypatch.setattr(ops, "_BLOCK_BYTES", 2 * _step_bytes(x[:1], ps))
     xs = x[:1, :2, :3]
-    assert len(ssm._chunks(6, 4 * 1 * 2 * 3)) == 3
+    assert len(ssm._chunks(6, _step_bytes(xs, ps))) == 3
     rep = grad_check(functools.partial(scan2d.ss2d, parallel=parallel), [xs, ps], tol=1e-4,
                      name="ss2d three chunks")
     assert rep.passed, str(rep)
@@ -250,7 +251,7 @@ def test_scan_vjp_keeps_no_batch_major_copy(retained_bytes):
     ps = [ssm.init_ssm_params(8, 4, np.random.default_rng(82 + i)) for i in range(4)]
     x = np.random.default_rng(83).standard_normal((4, 2, 800, 8))
     y, vjp, held = retained_bytes(lambda v: ssm._selective_scan(v, ps, False), x.copy)
-    chunks = ssm._chunks(800, 4 * 2 * 4 * 8)
+    chunks = ssm._chunks(800, 8 * 4 * 2 * 4 * 8)
     assert len(chunks) == 4
     # the output, the step-major xs, pre, bs and cs, and the entry states
     kept = 3 * x.nbytes + 2 * x.nbytes // 2 + (len(chunks) - 1) * 4 * 2 * 4 * 8 * 8

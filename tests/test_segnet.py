@@ -6,9 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from crackfuse import ops, segnet, train
+from crackfuse import checks, ops, segnet, train
 from crackfuse.gradcheck import grad_check
-from crackfuse.trees import tree_flatten
+from crackfuse.trees import tree_flatten, tree_unflatten
 
 TOY = segnet.ModelConfig()  # 6ch, patch 3, dims (16,32,64,128), depths (1,1,1,1)
 
@@ -460,3 +460,50 @@ def test_empty_images_rejected(entry, shape):
     model = segnet.init_model(TOY, rng(40))
     with pytest.raises(ValueError, match=re.escape(str(shape))):
         getattr(segnet, entry)(np.zeros(shape), model)
+
+
+def _as_float32(tree):
+    """A copy of a weight tree (or a list of inputs) with float32 leaves."""
+    return tree_unflatten(tree, {k: v.astype(np.float32) for k, v in tree_flatten(tree).items()})
+
+
+def _dtypes(tree):
+    """The dtype of each leaf of tree, by name."""
+    return {k: v.dtype for k, v in tree_flatten(tree).items()}
+
+
+SUITE = checks.suite()
+
+
+@pytest.mark.parametrize("check", SUITE, ids=[name for name, *_ in SUITE])
+def test_suite_op_computes_in_float32(check):
+    # every layer follows its input's dtype; only segnet._images picks one
+    _name, fn, inputs, _max_entries = check
+    y, vjp = fn(*_as_float32(inputs))
+    if isinstance(y, float):  # a loss
+        dy = 1.0
+    else:
+        assert set(_dtypes(y).values()) == {np.dtype(np.float32)}, _dtypes(y)
+        dy = _as_float32(tree_unflatten(y, {k: np.random.default_rng(1).standard_normal(v.shape)
+                                            for k, v in tree_flatten(y).items()}))
+    grads = _dtypes(list(vjp(dy)))
+    assert len(grads) == len(tree_flatten(list(inputs)))
+    assert set(grads.values()) == {np.dtype(np.float32)}, grads
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
+def test_model_computes_in_float32(parallel):
+    model = segnet.init_model(TOY, rng(50))
+    model32 = segnet.SegModel(TOY, _as_float32(model.weights))
+    image = rng(51).uniform(size=(2, 6, 48, 48))
+    logits, vjp = segnet._model_forward(image.astype(np.float32), model32, parallel)
+    dimage, grads = vjp(rng(52).standard_normal(logits.shape).astype(np.float32))
+    assert logits.dtype == dimage.dtype == np.float32
+    leaves = _dtypes(grads)
+    assert len(leaves) == 174 and set(leaves.values()) == {np.dtype(np.float32)}
+    predicted = segnet._predict(image.astype(np.float32), model32)  # the sequential scan
+    assert predicted.dtype == np.float32
+    # float32 against the float64 pass, relative to the largest float64 logit
+    want = segnet._model_forward(image, model, parallel)[0]
+    for got in (logits, predicted):
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()

@@ -154,6 +154,16 @@ def test_training_requires_images():
         sr.sr_train_selfsupervised([], 2)
 
 
+@pytest.mark.parametrize("field, value", [("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
+                                          ("lr", float("inf")), ("lr", True), ("lr", "1e-3"),
+                                          ("iters", -3), ("iters", 2.0), ("seed", -1),
+                                          ("hidden", 0), ("hidden", True)])
+def test_train_config_refuses_values_that_cannot_train(field, value):
+    # an lr of 0 would train steps that change nothing, and a bool is not a number
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        sr.SrTrainConfig(**{field: value})
+
+
 def test_training_divergence_raises():
     # an absurd lr blows a near-floor start far past the guard
     with pytest.raises(sr.SrDiverged, match="lower lr"):

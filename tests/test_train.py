@@ -89,9 +89,14 @@ def test_train_config_defaults_and_validation():
     for name in ("batch_size", "eval_interval"):
         with pytest.raises(ValueError, match=name):
             train.TrainConfig(**{name: 0})
-    for name, value in [("total_iters", "x"), ("base_lr", None), ("seed", 1.0), ("grad_clip", "1")]:
+    for name, value in [("total_iters", "x"), ("base_lr", None), ("seed", 1.0), ("grad_clip", "1"),
+                        # a clip at or below 0 would flip or zero every gradient
+                        ("grad_clip", -1.0), ("grad_clip", 0), ("grad_clip", math.nan),
+                        ("base_lr", math.inf), ("base_lr", math.nan), ("weight_decay", -0.01),
+                        ("weight_decay", math.nan), ("poly_power", -0.5), ("poly_power", math.inf)]:
         with pytest.raises(ValueError, match=name):
             train.TrainConfig(**{name: value})
+    train.TrainConfig(weight_decay=0, poly_power=0.0)
 
 
 def _global_norm(grads):
