@@ -148,8 +148,6 @@ def _fit_patch(requested, dims, divisor):
 def cmd_synth(args):
     dims = _parse_dims(args.rgb_dims)
     factor = _parse_factor(args.ir_factor)
-    if args.count < 1:
-        raise UsageError("--count must be >= 1")
     _prepare_out(args.out, args.force)
     samples = data.synth_dataset(args.seed, args.count, dims, factor)
     manifest = data.save_dataset(args.out, samples, args.seed, ir_factor=str(factor))
@@ -363,7 +361,7 @@ def build_parser():
 
     s = sub.add_parser("synth", help="generate a synthetic RGB+IR crack dataset")
     s.add_argument("--seed", type=_at_least(0), default=0)
-    s.add_argument("--count", type=int, required=True)
+    s.add_argument("--count", type=_at_least(1), required=True)
     s.add_argument("--rgb-dims", default="96x96")
     s.add_argument("--ir-factor", default="2")
     s.add_argument("--out", required=True)
@@ -403,8 +401,8 @@ def build_parser():
     s.add_argument("--checkpoint", default=None)
     s.add_argument("--variant", default=None)
     s.add_argument("--sr-checkpoint", default=None)
-    s.add_argument("--patch", type=int, default=48)
-    s.add_argument("--batch-size", type=int, default=8)
+    s.add_argument("--patch", type=_at_least(1), default=48)
+    s.add_argument("--batch-size", type=_at_least(1), default=8)
     s.add_argument("--seed", type=_at_least(0), default=0)
     s.set_defaults(fn=cmd_eval)
 
@@ -414,8 +412,8 @@ def build_parser():
     s.add_argument("--iters", type=_at_least(1), default=400)
     s.add_argument("--sr-iters", type=_at_least(0), default=150)
     s.add_argument("--lr", type=_positive, default=1e-3)
-    s.add_argument("--batch-size", type=int, default=8)
-    s.add_argument("--patch", type=int, default=48)
+    s.add_argument("--batch-size", type=_at_least(1), default=8)
+    s.add_argument("--patch", type=_at_least(1), default=48)
     s.add_argument("--work-dir", default="ablate_work")
     s.add_argument("--out", default=None)
     s.set_defaults(fn=cmd_ablate)

@@ -5,12 +5,13 @@ Every layer takes a batch: images are [B, C, H, W], token grids flow
 channels-last ([B, H, W, C]), and the decoder works channels-first
 ([B, C, h, w]) because it is convolutional. model_forward (training) and
 predict (inference) check the layout and cast their input to float64, the
-one dtype decision: every layer computes in its input's dtype. Each returns
-(output, vjp), its backward composed by hand from the primitives' closures.
-The networks are chains of named steps, written once: one per encoder stage
-(_encode), one between each two decoder joins (_decode). predict walks them
-keeping no vjp; encoder_forward and uper_decode keep the vjps, run them back
-with ops.walk_back and write only the joins by hand.
+one dtype decision: every layer computes in its input's dtype and returns
+(output, vjp). The networks are chains of named steps, written once: one per
+encoder stage (_encode), one per branch of the gated block (vss_block), one
+between each two decoder joins (_decode). predict walks the encoder and the
+decoder keeping no vjp past its step; vss_block, encoder_forward and
+uper_decode keep the vjps, run them back with ops.walk_back and write only
+the joins by hand.
 
 model_forward and predict cut a large batch into two fixed, contiguous
 shards (_shards) and run the second on a worker thread while the first runs
@@ -239,47 +240,44 @@ def patch_embed(image, w: PatchEmbedWeights, cfg: ModelConfig):
     return tokens, vjp
 
 
+def _chain(vjps, key, steps, x):
+    """walk steps from x, keeping their vjps as vjps[key] when vjps is a dict."""
+    return walk(steps, x, None if vjps is None else vjps.setdefault(key, []))
+
+
+def _op(fn, w, *fields):
+    """A step: fn(x, *those fields of w), its gradients named by the fields."""
+    return fields, lambda x: fn(x, *(getattr(w, f) for f in fields))
+
+
+def _transpose(*axes):
+    """A step: x viewed with its axes permuted; its vjp permutes them back."""
+    back = tuple(np.argsort(axes))
+    return (), lambda x: (x.transpose(axes), lambda d: (d.transpose(back),))
+
+
 def vss_block(x, w: BlockWeights, parallel=False):
     """Residual gated block: normalized input feeds a gate branch (linear +
     silu) and a main branch (linear, depthwise conv, silu, four-direction
     scan, norm); branches multiply, project, and add back to the input.
-    x: [B, H, W, C]."""
-    n1, vjp_ln1 = layer_norm(x, w.ln1_gamma, w.ln1_beta)
-    g_pre, vjp_glin = linear(n1, w.gate_w, w.gate_b)
-    gate, vjp_gact = silu(g_pre)
-    m_pre, vjp_mlin = linear(n1, w.main_w, w.main_b)
-    m_chw = m_pre.transpose(0, 3, 1, 2)
-    conv, vjp_conv = depthwise_conv2d(m_chw, w.conv_kernel)
-    conv_hwc = conv.transpose(0, 2, 3, 1)
-    act, vjp_act = silu(conv_hwc)
-    scanned, vjp_ss2d = scan2d.ss2d(act, w.scans, parallel=parallel)
-    n2, vjp_ln2 = layer_norm(scanned, w.ln2_gamma, w.ln2_beta)
-    prod = n2 * gate
-    out, vjp_out = linear(prod, w.out_w, w.out_b)
-    y = x + out
+    x: [B, H, W, C]. Each branch is a chain of steps named by their fields
+    in w; the fan-out, the product and the residual are the joins."""
+    chains = {}
+    n1 = _chain(chains, "ln1", [_op(layer_norm, w, "ln1_gamma", "ln1_beta")], x)
+    gate = _chain(chains, "gate", [_op(linear, w, "gate_w", "gate_b"), ((), silu)], n1)
+    main = [_op(linear, w, "main_w", "main_b"), _transpose(0, 3, 1, 2),
+            _op(depthwise_conv2d, w, "conv_kernel"), _transpose(0, 2, 3, 1), ((), silu),
+            (("scans",), lambda t: scan2d.ss2d(t, w.scans, parallel=parallel)),
+            _op(layer_norm, w, "ln2_gamma", "ln2_beta")]
+    n2 = _chain(chains, "main", main, n1)
+    y = x + _chain(chains, "out", [_op(linear, w, "out_w", "out_b")], n2 * gate)
 
     def vjp(dy):
-        dprod, dout_w, dout_b = vjp_out(dy)
-        dn2 = dprod * gate
-        dgate = dprod * n2
-        dscanned, dg2, db2 = vjp_ln2(dn2)
-        dact, dscan_params = vjp_ss2d(dscanned)
-        dconv_hwc = vjp_act(dact)[0]
-        dconv = dconv_hwc.transpose(0, 3, 1, 2)
-        dm_chw, dkernel = vjp_conv(dconv)
-        dm_pre = dm_chw.transpose(0, 2, 3, 1)
-        dn1_main, dmain_w, dmain_b = vjp_mlin(dm_pre)
-        dg_pre = vjp_gact(dgate)[0]
-        dn1_gate, dgate_w, dgate_b = vjp_glin(dg_pre)
-        dx, dg1, db1 = vjp_ln1(dn1_main + dn1_gate)
-        dx = dx + dy
-        grads = BlockWeights(
-            ln1_gamma=dg1, ln1_beta=db1, gate_w=dgate_w, gate_b=dgate_b,
-            main_w=dmain_w, main_b=dmain_b, conv_kernel=dkernel,
-            scans=dscan_params, ln2_gamma=dg2, ln2_beta=db2,
-            out_w=dout_w, out_b=dout_b,
-        )
-        return dx, grads
+        flat = {}
+        dprod = walk_back(chains["out"], dy, flat)
+        dn1 = (walk_back(chains["main"], dprod * gate, flat)
+               + walk_back(chains["gate"], dprod * n2, flat))
+        return walk_back(chains["ln1"], dn1, flat) + dy, tree_unflatten(w, flat)
 
     return y, vjp
 
@@ -303,11 +301,6 @@ def downsample(x, w: DownsampleWeights):
         return dx.reshape(b, h, wd, c), DownsampleWeights(w=dw, b=db)
 
     return y, vjp
-
-
-def _chain(vjps, key, steps, x):
-    """walk steps from x, keeping their vjps as vjps[key] when vjps is a dict."""
-    return walk(steps, x, None if vjps is None else vjps.setdefault(key, []))
 
 
 def _encode(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False, vjps=None):
@@ -337,12 +330,13 @@ def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False
     """
     chains = {}
     feats = _encode(image, enc, cfg, parallel, chains)
+    n = len(feats)  # the vjp keeps the count, not the grids
 
     def vjp(dfeats):
-        if len(dfeats) != len(feats):
-            raise ValueError(f"expected {len(feats)} upstream grids, got {len(dfeats)}")
+        if len(dfeats) != n:
+            raise ValueError(f"expected {n} upstream grids, got {len(dfeats)}")
         flat, dt = {}, None
-        for i in reversed(range(len(feats))):
+        for i in reversed(range(n)):
             dt = dfeats[i] if dt is None else dt + dfeats[i]
             dt = walk_back(chains[i], dt, flat)
         return dt, tree_unflatten(enc, flat)
@@ -392,9 +386,11 @@ def _decode(features, w: DecoderWeights, out_h, out_w, vjps=None):
 
     lifts = [_chain(vjps, ("lift", i), [_resize(*f4[0].shape[2:])], levels[i])
              for i in range(1, len(levels))]
+    cat = np.concatenate([levels[0], *lifts], axis=1)
+    del ppm, acc, lat, levels, lifts  # the head needs only their concat
     head = [_conv("fuse", w.fuse), ((), relu), _conv("classifier", w.classifier),
             _resize(out_h, out_w)]
-    return _chain(vjps, "head", head, np.concatenate([levels[0], *lifts], axis=1))
+    return _chain(vjps, "head", head, cat)
 
 
 def uper_decode(features, w: DecoderWeights, out_h, out_w):

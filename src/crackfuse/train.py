@@ -297,7 +297,6 @@ class TrainingDiverged(RuntimeError):
 @dataclass
 class TrainResult:
     loss_curve: list = field(default_factory=list)
-    lr_curve: list = field(default_factory=list)
     evals: list = field(default_factory=list)
     best_miou: float = -1.0
     last_path: str = ""
@@ -393,7 +392,6 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
             params, opt = adamw_step(params, grads, opt, lr, weight_decay=cfg.weight_decay)
             model.weights = segnet.unflatten_weights(model, params)
             result.loss_curve.append(loss)
-            result.lr_curve.append(lr)
             log({"iter": it, "loss": loss, "lr": lr})
 
             done = it + 1

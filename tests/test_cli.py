@@ -440,9 +440,17 @@ def test_bench_scan_table_structure(tmp_path, capsys):
     (("sr-train", "--data", "d", "--out", "o", "--seed", "-1"), "--seed"),
     (("ablate", "--data", "d", "--lr", "inf"), "--lr"),
     (("synth", "--count", "1", "--out", "o", "--seed", "-2"), "--seed"),
+    # refused at parse, before a later argument's check or any work runs
+    (("synth", "--count", "0", "--out", "o", "--rgb-dims", "nonsense"), "--count"),
+    (("eval", "--data", "d", "--batch-size", "0"), "--batch-size"),
+    (("eval", "--data", "d", "--patch", "-48"), "--patch"),
+    (("ablate", "--data", "d", "--batch-size", "0"), "--batch-size"),
+    (("ablate", "--data", "d", "--patch", "0"), "--patch"),
 ], ids=["ablate-iters", "sr-train-iters", "ablate-sr-iters", "bench-reps", "bench-min-pow",
         "bench-pow-range", "tol-nan", "tol-zero", "tol-negative", "sr-lr-zero", "sr-lr-negative",
-        "sr-lr-nan", "sr-seed-negative", "ablate-lr-inf", "synth-seed-negative"])
+        "sr-lr-nan", "sr-seed-negative", "ablate-lr-inf", "synth-seed-negative",
+        "synth-count-zero", "eval-batch-size-zero", "eval-patch-negative",
+        "ablate-batch-size-zero", "ablate-patch-zero"])
 def test_counts_checked_where_they_enter(argv, flag, capsys):
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
