@@ -444,12 +444,15 @@ def load_sample(root, sample_id) -> SamplePair:
 
 
 def materialize(samples, variant, sr_model=None) -> dict:
-    """Precompute (input, target) per id for one variant."""
-    table = {s.id: make_variant(s, variant, sr_model=sr_model) for s in samples}
+    """Precompute (input, target) per id for one variant. Inputs are float32,
+    the dtype the segmenter then computes in; targets are int64."""
+    table = {}
     want = VARIANT_CHANNELS[variant]
-    for sid, (inp, _tgt) in table.items():
+    for s in samples:
+        inp, tgt = make_variant(s, variant, sr_model=sr_model)
         if inp.shape[0] != want:
-            raise ValueError(f"{sid}: variant {variant} expects {want} channels, got {inp.shape[0]}")
+            raise ValueError(f"{s.id}: variant {variant} expects {want} channels, got {inp.shape[0]}")
+        table[s.id] = (inp.astype(np.float32), tgt)
     return table
 
 

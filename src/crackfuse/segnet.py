@@ -4,8 +4,12 @@ encoder, and a pyramid-pooling / top-down decoder producing per-pixel logits.
 Every layer takes a batch: images are [B, C, H, W], token grids flow
 channels-last ([B, H, W, C]), and the decoder works channels-first
 ([B, C, h, w]) because it is convolutional. model_forward (training) and
-predict (inference) check the layout and cast their input to float64, the
-one dtype decision: every layer computes in its input's dtype and returns
+predict (inference) check the layout and make the one dtype decision: a
+float32 batch (data.materialize's frames) stays float32 and anything else
+becomes float64. The weights stay float64 masters; both entries cast them to
+the batch's dtype once per call, and model_forward's vjp returns each weight
+gradient in its master's dtype, so the optimizer and the checkpoints see
+float64 only. Every layer computes in its input's dtype and returns
 (output, vjp). The networks are chains of named steps, written once: one per
 encoder stage (_encode), one per branch of the gated block (vss_block), one
 between each two decoder joins (_decode). predict walks the encoder and the
@@ -32,7 +36,7 @@ import numpy as np
 from . import scan2d, ssm
 from .ops import (_linear_grads, conv2d, depthwise_conv2d, layer_norm, linear, relu,
                   resize_bilinear, adaptive_avg_pool2d, silu, walk, walk_back)
-from .trees import tree_flatten, tree_unflatten
+from .trees import tree_flatten, tree_leaves, tree_unflatten
 
 POOL_BINS = (1, 2, 3, 6)
 
@@ -427,8 +431,12 @@ def uper_decode(features, w: DecoderWeights, out_h, out_w):
 
 
 def _images(image, cfg: ModelConfig):
-    """image as a float64 [B, C, H, W] batch of cfg's channels, or ValueError."""
-    img = np.asarray(image, dtype=np.float64)
+    """image as a [B, C, H, W] batch of cfg's channels, or ValueError. The
+    batch computes in its own dtype when that is float32 and in float64
+    otherwise."""
+    img = np.asarray(image)
+    if img.dtype != np.float32:
+        img = np.asarray(img, dtype=np.float64)
     if img.ndim != 4:
         raise ValueError(f"expected a [B, C, H, W] batch of images, got shape {img.shape}")
     if 0 in img.shape:
@@ -501,29 +509,57 @@ def _sum_grads(g0, g1):
     return tree_unflatten(g0, {k: v + flat1[k] for k, v in tree_flatten(g0).items()})
 
 
+def _cast(tree, dtype_of):
+    """tree itself when each leaf already has dtype_of(its name), else a copy
+    of tree with each leaf cast to it."""
+    if all(a.dtype == dtype_of(k) for k, a in tree_leaves(tree)):
+        return tree
+    return tree_unflatten(tree, {k: a.astype(dtype_of(k)) for k, a in tree_leaves(tree)})
+
+
+def _in_dtype(model: SegModel, dtype):
+    """model itself when its weights are all of dtype, else a SegModel whose
+    weights are cast to dtype."""
+    weights = _cast(model.weights, lambda _: dtype)
+    return model if weights is model.weights else SegModel(model.cfg, weights)
+
+
 def model_forward(image, model: SegModel, parallel=False):
     """Full network: [B, C_in, H, W] images -> [B, num_classes, H, W] logits.
 
-    The one entry point to the Stage-2 layers: it casts the images to float64,
-    which the layers behind it compute in since each follows its input's
-    dtype, and refuses any other layout. Returns (logits, vjp) with
-    vjp(dlogits) -> (dimage, ModelWeights gradient). A large batch runs as
-    two shards (_shards) whose logits and dimage are concatenated and whose
-    weight gradients are summed, shard 0 + shard 1.
+    The one entry point to the Stage-2 layers for training: it refuses any
+    other layout, keeps a float32 batch float32 and casts anything else to
+    float64 (_images), and runs the layers on the weights cast once to that
+    dtype. Returns (logits, vjp) with vjp(dlogits) -> (dimage, ModelWeights
+    gradient); dimage has the batch's dtype and each weight gradient its
+    master leaf's dtype. A large batch runs as two shards (_shards) whose
+    logits and dimage are concatenated and whose weight gradients are
+    summed, shard 0 + shard 1.
     """
     img = _images(image, model.cfg)
+    work = _in_dtype(model, img.dtype)
     shards = _shards(img)
     if len(shards) == 1:
-        return _model_forward(img, model, parallel)
-    a, b = shards
-    (y0, vjp0), (y1, vjp1) = _both(lambda: _model_forward(img[a], model, parallel),
-                                   lambda: _model_forward(img[b], model, parallel))
+        logits, vjp_work = _model_forward(img, work, parallel)
+    else:
+        a, b = shards
+        (y0, vjp0), (y1, vjp1) = _both(lambda: _model_forward(img[a], work, parallel),
+                                       lambda: _model_forward(img[b], work, parallel))
+        logits = np.concatenate([y0, y1])
+
+        def vjp_work(dlogits):
+            (d0, g0), (d1, g1) = _both(lambda: vjp0(dlogits[a]), lambda: vjp1(dlogits[b]))
+            return np.concatenate([d0, d1]), _sum_grads(g0, g1)
+
+    if work is model:
+        return logits, vjp_work
 
     def vjp(dlogits):
-        (d0, g0), (d1, g1) = _both(lambda: vjp0(dlogits[a]), lambda: vjp1(dlogits[b]))
-        return np.concatenate([d0, d1]), _sum_grads(g0, g1)
+        dimage, grads = vjp_work(dlogits)
+        master = tree_flatten(model.weights)
+        return dimage, _cast(grads, lambda k: master[k].dtype)
 
-    return np.concatenate([y0, y1]), vjp
+    return logits, vjp
 
 
 def _model_forward(img, model: SegModel, parallel):
@@ -543,11 +579,12 @@ def predict(image, model: SegModel):
     """model_forward's logits, bit for bit, for inference: the encoder and
     decoder walks keep no step's vjp past the step that made it."""
     img = _images(image, model.cfg)
+    work = _in_dtype(model, img.dtype)
     shards = _shards(img)
     if len(shards) == 1:
-        return _predict(img, model)
+        return _predict(img, work)
     a, b = shards
-    return np.concatenate(_both(lambda: _predict(img[a], model), lambda: _predict(img[b], model)))
+    return np.concatenate(_both(lambda: _predict(img[a], work), lambda: _predict(img[b], work)))
 
 
 def _predict(img, model: SegModel):

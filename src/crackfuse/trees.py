@@ -3,7 +3,10 @@
 Weight trees are dataclasses whose fields are numpy arrays, other weight
 dataclasses, or lists of either; ints/strings ride along untouched. Leaves
 get dotted names from the field path, which is what the optimizer and the
-checkpoint archive key on.
+checkpoint archive key on. Weight dataclasses declare plain fields only
+(no ClassVar or InitVar), so a walk reads the class's field dict in
+declaration order; dataclasses.fields would build a tuple per node per walk,
+and the model's entry walks the weights on every call.
 """
 from __future__ import annotations
 
@@ -17,9 +20,9 @@ def tree_leaves(tree, prefix=""):
     if isinstance(tree, np.ndarray):
         yield prefix, tree
     elif dataclasses.is_dataclass(tree):
-        for f in dataclasses.fields(tree):
-            name = f"{prefix}.{f.name}" if prefix else f.name
-            yield from tree_leaves(getattr(tree, f.name), name)
+        for field in tree.__dataclass_fields__:
+            name = f"{prefix}.{field}" if prefix else field
+            yield from tree_leaves(getattr(tree, field), name)
     elif isinstance(tree, (list, tuple)):
         for i, item in enumerate(tree):
             name = f"{prefix}.{i}" if prefix else str(i)
@@ -42,9 +45,9 @@ def tree_unflatten(template, flat: dict, prefix=""):
         return arr
     if dataclasses.is_dataclass(template):
         kwargs = {}
-        for f in dataclasses.fields(template):
-            name = f"{prefix}.{f.name}" if prefix else f.name
-            kwargs[f.name] = tree_unflatten(getattr(template, f.name), flat, name)
+        for field in template.__dataclass_fields__:
+            name = f"{prefix}.{field}" if prefix else field
+            kwargs[field] = tree_unflatten(getattr(template, field), flat, name)
         return type(template)(**kwargs)
     if isinstance(template, list):
         return [tree_unflatten(t, flat, f"{prefix}.{i}" if prefix else str(i))

@@ -247,6 +247,15 @@ def test_read_manifest_names_file_and_field(tmp_path, edit, field):
     assert str(path) in str(err.value) and field in str(err.value)
 
 
+def test_materialize_frames_are_float32():
+    samples = small_dataset(n=2)
+    sr_model = sr.init_sr_model(2, np.random.default_rng(0), hidden=4)
+    for variant in data.VARIANTS:
+        table = data.materialize(samples, variant, sr_model=sr_model)
+        for inp, tgt in table.values():
+            assert inp.dtype == np.float32 and tgt.dtype == np.int64, variant
+
+
 def test_eval_batches_disjoint_cover():
     samples = small_dataset(n=7)
     table = data.materialize(samples, "P_RGB")

@@ -238,14 +238,20 @@ def test_model_forward_blelloch_matches_sequential():
     assert np.max(np.abs(par - seq)) <= 1e-9
 
 
-@pytest.mark.parametrize("cfg", [TOY, *(dataclasses.replace(_reduced(d), in_channels=6)
-                                   for d in [(2, 0), (0, 2), (2, 1, 0, 3)])],
-                         ids=["default", "depths-2-0", "depths-0-2", "depths-2-1-0-3"])
-def test_predict_equals_model_forward_bitwise(cfg):
+_DEPTHS = [TOY, *(dataclasses.replace(_reduced(d), in_channels=6)
+                  for d in [(2, 0), (0, 2), (2, 1, 0, 3)])]
+_DEPTH_IDS = ["default", "depths-2-0", "depths-0-2", "depths-2-1-0-3"]
+
+
+@pytest.mark.parametrize("cfg, dtype", [(c, np.float64) for c in _DEPTHS]
+                         + [(c, np.float32) for c in _DEPTHS],
+                         ids=_DEPTH_IDS + [f"{i}-f32" for i in _DEPTH_IDS])
+def test_predict_equals_model_forward_bitwise(cfg, dtype):
     # stages with two blocks and with none walk the same steps in both
     model = segnet.init_model(cfg, rng(36))
-    img = rng(37).standard_normal((2, 6, 48, 48)) * 0.5
+    img = (rng(37).standard_normal((2, 6, 48, 48)) * 0.5).astype(dtype)
     logits, _ = segnet.model_forward(img, model)
+    assert logits.dtype == dtype
     assert np.array_equal(segnet.predict(img, model), logits)
     with pytest.raises(ValueError, match="expected 6 input channels, got 3"):
         segnet.predict(np.zeros((1, 3, 48, 48)), model)
@@ -280,8 +286,9 @@ def test_model_forward_peak_memory(peak_bytes):
 
 
 # tracemalloc bytes that model_forward's logits and vjp keep alive for two
-# 48 x 48 frames of the default config
-RETAINED_2X48 = 6_414_192
+# float64 48 x 48 frames of the default config, measured with the weights
+# used as they are (no cast copy, no flattened tree)
+RETAINED_2X48 = 6_291_088
 
 
 def test_model_forward_retained_memory(retained_bytes):
@@ -357,9 +364,9 @@ def test_flatten_unflatten_roundtrip():
 # first shard, above the gate, and cuts unevenly (3 + 2 images).
 
 
-def _sharded_case():
+def _sharded_case(dtype=np.float64):
     model = segnet.init_model(TINY, rng(40))
-    img = rng(41).standard_normal((5, 2, 120, 120)) * 0.5
+    img = (rng(41).standard_normal((5, 2, 120, 120)) * 0.5).astype(dtype)
     target = rng(42).integers(0, 2, size=(5, 120, 120))
     assert segnet._shards(img) == [slice(0, 3), slice(3, 5)]
     return model, img, target
@@ -384,9 +391,11 @@ def test_shard_cut_follows_the_gate():
     assert cut(3, 6, 144, 144) == [slice(0, 2), slice(2, 3)]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_shard_outputs_do_not_depend_on_worker_count(monkeypatch, cpus):
-    model, img, target = _sharded_case()
+@pytest.mark.parametrize("cpus, dtype", [(1, np.float64), (2, np.float64),
+                                         (1, np.float32), (2, np.float32)],
+                         ids=["1", "2", "1-f32", "2-f32"])
+def test_shard_outputs_do_not_depend_on_worker_count(monkeypatch, cpus, dtype):
+    model, img, target = _sharded_case(dtype)
     want = _step(model, img, target)  # on this process's own CPUs
     threads = {}  # shard size -> the thread that ran it
 
@@ -401,6 +410,7 @@ def test_shard_outputs_do_not_depend_on_worker_count(monkeypatch, cpus):
     assert threads[3] == threading.current_thread().name
     assert threads[2].startswith("crackfuse-shard") == (cpus == 2)
     assert np.array_equal(logits, want[0]) and np.array_equal(dimage, want[1])
+    assert logits.dtype == dimage.dtype == dtype
     assert grads.keys() == want[2].keys()
     for name, g in grads.items():
         assert np.array_equal(g, want[2][name]), name
@@ -522,17 +532,29 @@ def test_suite_op_computes_in_float32(check):
 
 @pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
 def test_model_computes_in_float32(parallel):
+    # float32 images run the layers in float32 behind the float64 masters
     model = segnet.init_model(TOY, rng(50))
-    model32 = segnet.SegModel(TOY, _as_float32(model.weights))
+    master = tree_flatten(model.weights)
+    kept = {k: v.copy() for k, v in master.items()}
     image = rng(51).uniform(size=(2, 6, 48, 48))
-    logits, vjp = segnet._model_forward(image.astype(np.float32), model32, parallel)
-    dimage, grads = vjp(rng(52).standard_normal(logits.shape).astype(np.float32))
+    dlogits = rng(52).standard_normal((2, 2, 48, 48))
+    logits, vjp = segnet.model_forward(image.astype(np.float32), model, parallel)
+    dimage, grads = vjp(dlogits.astype(np.float32))
     assert logits.dtype == dimage.dtype == np.float32
-    leaves = _dtypes(grads)
-    assert len(leaves) == 174 and set(leaves.values()) == {np.dtype(np.float32)}
-    predicted = segnet._predict(image.astype(np.float32), model32)  # the sequential scan
+    leaves = tree_flatten(grads)
+    assert len(leaves) == 174 and set(_dtypes(grads).values()) == {np.dtype(np.float64)}
+    for name, leaf in tree_flatten(model.weights).items():
+        assert leaf is master[name] and np.array_equal(leaf, kept[name]), name
+    # the layers behind the cast keep every weight gradient in float32
+    work = segnet._in_dtype(model, np.float32)
+    _, vjp32 = segnet._model_forward(image.astype(np.float32), work, parallel)
+    assert set(_dtypes(vjp32(dlogits.astype(np.float32))[1]).values()) == {np.dtype(np.float32)}
+    predicted = segnet.predict(image.astype(np.float32), model)  # the sequential scan
     assert predicted.dtype == np.float32
-    # float32 against the float64 pass, relative to the largest float64 logit
-    want = segnet._model_forward(image, model, parallel)[0]
+    # float32 against the float64 pass: logits relative to the largest
+    # float64 logit, each gradient leaf relative to its own largest entry
+    want, want_vjp = segnet.model_forward(image, model, parallel)
     for got in (logits, predicted):
         assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+    for name, g in tree_flatten(want_vjp(dlogits)[1]).items():
+        assert np.abs(leaves[name] - g).max() <= 1e-4 * np.abs(g).max(), name

@@ -66,6 +66,18 @@ def test_discretize_series_matches_exact_at_threshold():
     series = dt[..., None, :] * (1.0 + z / 2.0 + z * z / 6.0)
     rel = abs(exact - series) / abs(exact)
     assert rel.max() < 1e-10
+    # discretize_zoh just inside and just outside the threshold, in float64
+    # and float32: the branch mask is float64's, and g is within tol of
+    # float64's exact value
+    for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-6)):
+        dt = (ssm.SERIES_THRESHOLD * np.array([[0.99], [1.01]])).astype(dtype)  # [L, C]
+        pair = ssm.discretize_zoh(a.astype(dtype), np.ones((2, 1), dtype), dt)
+        dt64 = dt.astype(np.float64)
+        assert pair.g.dtype == dtype
+        assert pair.small.ravel().tolist() == [True, False]
+        assert np.array_equal(pair.small, ssm.discretize_zoh(a, np.ones((2, 1)), dt64).small)
+        exact = np.expm1(dt64[..., None, :] * a) / a
+        assert np.all(np.abs(pair.g - exact) <= tol * np.abs(exact)), dtype
 
 
 def test_discretize_rejects_nonpositive_dt():
