@@ -1,13 +1,16 @@
 """Batch command-line surface for the full pipeline.
 
-Exit codes: 0 success, 1 usage or config error, 2 runtime failure. All
-randomness flows from --seed through named sub-streams, so reruns with the
-same flags produce identical output bytes (timestamps appear only in log
-lines on stderr, never in output files).
+Exit codes: 0 success, 1 usage or config error, 2 runtime failure or a
+stored document that does not decode, 141 (128 + SIGPIPE) with nothing on
+stderr when stdout's reader has gone. Flags and documents are checked by the
+rules of crackfuse.fields. All randomness flows from --seed through named
+sub-streams, so reruns with the same flags produce identical output bytes
+(timestamps appear only in log lines on stderr, never in output files).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import checks, data, metrics, segnet, sr, ssm, train
+from . import checks, data, fields, metrics, segnet, sr, ssm, train
 from .tensor import save_tensor
 
 
@@ -31,48 +34,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least(low):
-    """argparse type: an integer of at least low (a count or a seed)."""
-    def count(text):
-        try:
-            n = int(text)
-        except ValueError:
-            n = None
-        if n is None or n < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return n
-    return count
-
-
-def _positive(text):
-    """argparse type: a finite number above zero."""
-    try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not (math.isfinite(x) and x > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return x
-
-
-def _parse_dims(text):
-    try:
-        w, h = (int(v) for v in text.lower().split("x"))
-        if w >= 1 and h >= 1:
-            return h, w
-    except ValueError:
-        pass
-    raise UsageError(f"--rgb-dims expects WIDTHxHEIGHT in positive integers, got {text!r}")
-
-
-def _parse_factor(text):
-    try:
-        f = Fraction(text)
-    except Exception:
-        raise UsageError(f"--ir-factor expects a rational like 2 or 10/3, got {text!r}") from None
-    if f < 1:
-        raise UsageError(f"--ir-factor must be >= 1, got {text}")
-    return f
+def _option(parser, flag, rule, parse=int, **kw):
+    """Add flag, read by parse and checked by rule before any command runs."""
+    def value(text):
+        with contextlib.suppress(ValueError):
+            text = parse(text)
+        return rule.check(flag, text, UsageError)
+    parser.add_argument(flag, type=value, **kw)
 
 
 def _prepare_out(path, force):
@@ -86,45 +54,36 @@ def _prepare_out(path, force):
 # --------------------------------------------------------------------------
 # Run configuration (train/eval/ablate)
 
-_MODEL_KEYS = {f.name for f in dataclasses.fields(segnet.ModelConfig)}
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(train.TrainConfig)}
-
-
-# each top-level run-config key: (valid, what it must be); the values under
-# model and train are checked where their configs are built (_make_sources)
-_PATH = (lambda v: isinstance(v, str) and v != "" and "\0" not in v,
-         "a non-empty path string without NUL bytes")
-_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+# each top-level run-config key; the values under model and train are
+# checked where their configs are built (_make_sources)
 _RUN_FIELDS = {
-    "data_root": _PATH, "sr_checkpoint": _PATH, "log_path": _PATH,
-    "variant": (lambda v: v in data.VARIANTS, f"one of {', '.join(data.VARIANTS)}"),
-    "patch": (lambda v: type(v) is int and v >= 1, "a positive integer"),  # a JSON true is no size
-    "model": _OBJECT, "train": _OBJECT,
+    "data_root": fields.PATH, "variant": fields.one_of(*data.VARIANTS),
+    "sr_checkpoint": fields.PATH.optional(None), "log_path": fields.PATH.optional(None),
+    "patch": fields.integer(1).optional(48),
+    "model": fields.OBJECT.optional({}), "train": fields.OBJECT.optional({}),
 }
-_REQUIRED = ("data_root", "variant")
 
 
 def validate_run_config(doc: dict, where="run config") -> dict:
-    """Schema check of a run-config object: the required keys, the value of
-    every top-level key present, and unknown keys anywhere, rejected by name.
-    Every refusal is a UsageError whose message starts with where."""
+    """The run-config object doc with every key it leaves out at its default,
+    once its keys and values are checked: unknown keys anywhere are rejected
+    by name. Every refusal is a UsageError whose message starts with where."""
     try:
-        for key, (valid, what) in _RUN_FIELDS.items():
-            if key in doc or key in _REQUIRED:
-                train.manifest_field(doc, key, valid, what)
+        checked = fields.check_fields(doc, _RUN_FIELDS)
     except ValueError as e:
         raise UsageError(f"{where}: {e}") from None
     bad = sorted(set(doc) - set(_RUN_FIELDS))
-    bad += sorted(f"model.{k}" for k in set(doc.get("model", {})) - _MODEL_KEYS)
-    bad += sorted(f"train.{k}" for k in set(doc.get("train", {})) - _TRAIN_KEYS)
+    for section, config in (("model", segnet.ModelConfig), ("train", train.TrainConfig)):
+        known = {f.name for f in dataclasses.fields(config)}
+        bad += sorted(f"{section}.{k}" for k in set(checked[section]) - known)
     if bad:
         raise UsageError(f"{where}: unknown keys: {', '.join(bad)}")
-    return doc
+    return checked
 
 
 def load_run_config(path) -> dict:
     where = f"config file {path}"
-    return validate_run_config(data.read_json_object(path, UsageError, where), where)
+    return validate_run_config(fields.read_json_object(path, UsageError, where), where)
 
 
 def _load_split_samples(manifest):
@@ -146,8 +105,7 @@ def _fit_patch(requested, dims, divisor):
 
 
 def cmd_synth(args):
-    dims = _parse_dims(args.rgb_dims)
-    factor = _parse_factor(args.ir_factor)
+    dims, factor = args.rgb_dims[::-1], Fraction(args.ir_factor)  # WIDTHxHEIGHT to (h, w)
     _prepare_out(args.out, args.force)
     samples = data.synth_dataset(args.seed, args.count, dims, factor)
     manifest = data.save_dataset(args.out, samples, args.seed, ir_factor=str(factor))
@@ -225,25 +183,24 @@ def _make_sources(doc, manifest, samples, sr_model=None):
     """
     variant = doc["variant"]
     if variant == "PRGB_plus_PIRprime" and sr_model is None:
-        if "sr_checkpoint" not in doc:
+        if doc["sr_checkpoint"] is None:
             raise UsageError("variant PRGB_plus_PIRprime requires an SR checkpoint "
                              "(sr_checkpoint in a run config, --sr-checkpoint for eval)")
         sr_model = sr.load_sr_checkpoint(doc["sr_checkpoint"])
+    channels = data.VARIANT_CHANNELS[variant]  # what materialize's frames then hold
     try:
-        tcfg = train.TrainConfig(**doc.get("train", {}))
+        tcfg = train.TrainConfig(**doc["train"])
     except ValueError as e:
         raise UsageError(f"config train.{e}") from None
-    table = data.materialize(samples, variant, sr_model=sr_model)
-    some_input = table[manifest.ids[0]][0]
     try:
-        cfg = segnet.ModelConfig.from_dict({"in_channels": some_input.shape[0],
-                                            **doc.get("model", {})})
+        cfg = segnet.ModelConfig.from_dict({"in_channels": channels, **doc["model"]})
     except ValueError as e:
         raise UsageError(f"config model.{e}") from None
-    if cfg.in_channels != some_input.shape[0]:
+    if cfg.in_channels != channels:
         raise UsageError(f"config model.in_channels is {cfg.in_channels}, but variant "
-                         f"{variant} has {some_input.shape[0]} channels")
-    patch = _fit_patch(doc.get("patch", 48), some_input.shape[-2:], cfg.grid_divisor)
+                         f"{variant} has {channels} channels")
+    table = data.materialize(samples, variant, sr_model=sr_model)
+    patch = _fit_patch(doc["patch"], table[manifest.ids[0]][0].shape[-2:], cfg.grid_divisor)
 
     def source(split):
         ids = manifest.train_ids() if split == "train" else manifest.val_ids()
@@ -264,7 +221,7 @@ def cmd_train(args):
     train_src, val_src = source("train"), source("val")
     model = segnet.init_model(cfg, data.named_rng(tcfg.seed, "init"))
     result = train.train(model, train_src, tcfg, val_batches_fn=val_src.eval_batches,
-                         log_path=doc.get("log_path"), resume_from=args.resume)
+                         log_path=doc["log_path"], resume_from=args.resume)
     print(json.dumps({"best_miou": result.best_miou, "last": result.last_path,
                       "best": result.best_path, "iters": len(result.loss_curve)},
                      sort_keys=True))
@@ -360,10 +317,12 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate a synthetic RGB+IR crack dataset")
-    s.add_argument("--seed", type=_at_least(0), default=0)
-    s.add_argument("--count", type=_at_least(1), required=True)
-    s.add_argument("--rgb-dims", default="96x96")
-    s.add_argument("--ir-factor", default="2")
+    _option(s, "--seed", fields.integer(0), default=0)
+    _option(s, "--count", fields.integer(1), required=True)
+    _option(s, "--rgb-dims", fields.items(fields.integer(1), "WIDTHxHEIGHT in integers >= 1",
+                                          kind=tuple, least=2, most=2),
+            parse=lambda text: tuple(int(v) for v in text.lower().split("x")), default="96x96")
+    _option(s, "--ir-factor", fields.FACTOR, parse=str, default="2")
     s.add_argument("--out", required=True)
     s.add_argument("--force", action="store_true")
     s.set_defaults(fn=cmd_synth)
@@ -372,9 +331,9 @@ def build_parser():
     s.add_argument("--data", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--report", default=None)
-    s.add_argument("--iters", type=_at_least(0), default=300)
-    s.add_argument("--lr", type=_positive, default=2e-3)
-    s.add_argument("--seed", type=_at_least(0), default=0)
+    _option(s, "--iters", fields.integer(0), default=300)
+    _option(s, "--lr", fields.above(0), parse=float, default=2e-3)
+    _option(s, "--seed", fields.integer(0), default=0)
     s.set_defaults(fn=cmd_sr_train)
 
     s = sub.add_parser("sr-apply", help="super-resolve IR images to the RGB grid")
@@ -401,31 +360,31 @@ def build_parser():
     s.add_argument("--checkpoint", default=None)
     s.add_argument("--variant", default=None)
     s.add_argument("--sr-checkpoint", default=None)
-    s.add_argument("--patch", type=_at_least(1), default=48)
-    s.add_argument("--batch-size", type=_at_least(1), default=8)
-    s.add_argument("--seed", type=_at_least(0), default=0)
+    _option(s, "--patch", fields.integer(1), default=48)
+    _option(s, "--batch-size", fields.integer(1), default=8)
+    _option(s, "--seed", fields.integer(0), default=0)
     s.set_defaults(fn=cmd_eval)
 
     s = sub.add_parser("ablate", help="train/evaluate all four input variants")
     s.add_argument("--data", required=True)
-    s.add_argument("--seed", type=_at_least(0), default=0)
-    s.add_argument("--iters", type=_at_least(1), default=400)
-    s.add_argument("--sr-iters", type=_at_least(0), default=150)
-    s.add_argument("--lr", type=_positive, default=1e-3)
-    s.add_argument("--batch-size", type=_at_least(1), default=8)
-    s.add_argument("--patch", type=_at_least(1), default=48)
+    _option(s, "--seed", fields.integer(0), default=0)
+    _option(s, "--iters", fields.integer(1), default=400)
+    _option(s, "--sr-iters", fields.integer(0), default=150)
+    _option(s, "--lr", fields.above(0), parse=float, default=1e-3)
+    _option(s, "--batch-size", fields.integer(1), default=8)
+    _option(s, "--patch", fields.integer(1), default=48)
     s.add_argument("--work-dir", default="ablate_work")
     s.add_argument("--out", default=None)
     s.set_defaults(fn=cmd_ablate)
 
     s = sub.add_parser("gradcheck", help="run the finite-difference gradient suite")
-    s.add_argument("--tol", type=_positive, default=1e-4)
+    _option(s, "--tol", fields.above(0), parse=float, default=1e-4)
     s.set_defaults(fn=cmd_gradcheck)
 
     s = sub.add_parser("bench-scan", help="time the sequential and parallel scans")
-    s.add_argument("--reps", type=_at_least(1), default=11)
-    s.add_argument("--min-pow", type=_at_least(0), default=12)
-    s.add_argument("--max-pow", type=_at_least(0), default=18)
+    _option(s, "--reps", fields.integer(1), default=11)
+    _option(s, "--min-pow", fields.integer(0), default=12)
+    _option(s, "--max-pow", fields.integer(0), default=18)
     s.add_argument("--out", default=None)
     s.set_defaults(fn=cmd_bench_scan)
 
@@ -436,12 +395,18 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SystemExit:
         raise
+    except BrokenPipeError:
+        # stdout's reader has gone; with fd 1 on devnull the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as e:  # runtime failure contract: report and exit 2
         print(f"error: {e}", file=sys.stderr)
         return 2

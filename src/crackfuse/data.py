@@ -6,13 +6,14 @@ Directory layout (documented verbatim by the CLI):
     root/rgb/<id>.ppm     binary P6, maxval 255
     root/ir/<id>.ppm      binary P6, maxval 255, stored at the IR scale
     root/mask/<id>.pgm    binary P5, values 0 (background) and 255 (crack)
-    root/manifest.json    ids, split assignment, seed, variant tag
+    root/manifest.json    ids, split, seed, variant tag (checked by crackfuse.fields)
 
 All randomness derives from named streams of a single seed, so every epoch
 stream is a pure function of (manifest, seed, epoch index).
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -21,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import fields
 from . import sr as sr_mod
 from .ops import resize_bicubic, resize_nearest
-from .train import manifest_field
 
 VARIANTS = ("p_RGB", "P_RGB", "pRGB_plus_PIR", "PRGB_plus_PIRprime")
 VARIANT_CHANNELS = {"p_RGB": 3, "P_RGB": 3, "pRGB_plus_PIR": 6, "PRGB_plus_PIRprime": 6}
@@ -348,13 +349,8 @@ def split_ids(ids, seed):
 
 
 def write_manifest(manifest: DatasetManifest):
-    path = os.path.join(manifest.root, "manifest.json")
-    doc = {
-        "ids": manifest.ids, "split": manifest.split, "variant": manifest.variant,
-        "seed": manifest.seed, "rgb_dims": list(manifest.rgb_dims),
-        "ir_factor": manifest.ir_factor,
-    }
-    with open(path, "w") as f:
+    doc = {k: v for k, v in dataclasses.asdict(manifest).items() if k != "root"}
+    with open(os.path.join(manifest.root, "manifest.json"), "w") as f:
         json.dump(doc, f, sort_keys=True, indent=1)
 
 
@@ -363,41 +359,15 @@ class ManifestError(ValueError):
     kind, or is not a JSON object; the message names the file."""
 
 
-def _is_factor(value) -> bool:
-    try:
-        return isinstance(value, str) and Fraction(value) >= 1
-    except (ValueError, ZeroDivisionError):
-        return False
-
-
-# each field read_manifest decodes: (valid, what it must be)
 _MANIFEST_FIELDS = {
-    "ids": (lambda v: isinstance(v, list) and v != [] and all(isinstance(i, str) for i in v),
-            "a non-empty list of id strings"),
-    "split": (lambda v: isinstance(v, dict) and all(s in ("train", "val") for s in v.values()),
-              'an object mapping ids to "train" or "val"'),
-    "variant": (lambda v: isinstance(v, str), "a string"),
-    "seed": (lambda v: type(v) is int, "an integer"),
-    "rgb_dims": (lambda v: isinstance(v, list) and all(type(d) is int and d >= 1 for d in v),
-                 "a list of positive integers"),
-    "ir_factor": (_is_factor, 'a rational >= 1 like "2" or "10/3"'),
+    "ids": fields.items(fields.TEXT, "a non-empty list of id strings", least=1),
+    "split": fields.Rule(lambda v: isinstance(v, dict) and all(s in ("train", "val") for s in v.values()),
+                         'an object mapping ids to "train" or "val"'),
+    "variant": fields.TEXT,
+    "seed": fields.Rule(lambda v: type(v) is int, "an integer"),
+    "rgb_dims": fields.items(fields.integer(1), "a list of integers >= 1"),
+    "ir_factor": fields.FACTOR,
 }
-
-
-def read_json_object(path, error, where):
-    """The JSON object in the UTF-8 file at path. Raises error (an exception
-    class) with a message that starts with where if the file cannot be read,
-    is not JSON or holds something other than an object."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    # ValueError includes JSONDecodeError and UnicodeDecodeError; json raises
-    # RecursionError for arrays or objects nested too deep
-    except (OSError, ValueError, RecursionError) as e:
-        raise error(f"{where}: {e}") from None
-    if not isinstance(doc, dict):
-        raise error(f"{where}: holds a {type(doc).__name__}, not a JSON object")
-    return doc
 
 
 def read_manifest(root) -> DatasetManifest:
@@ -406,16 +376,15 @@ def read_manifest(root) -> DatasetManifest:
     kind, or leaves an id without a split."""
     path = os.path.join(root, "manifest.json")
     where = f"dataset manifest {path}"
-    doc = read_json_object(path, ManifestError, where)
+    doc = fields.read_json_object(path, ManifestError, where)
     try:
-        fields = {key: manifest_field(doc, key, valid, what)
-                  for key, (valid, what) in _MANIFEST_FIELDS.items()}
-        unsplit = [i for i in fields["ids"] if i not in fields["split"]]
+        got = fields.check_fields(doc, _MANIFEST_FIELDS)
+        unsplit = [i for i in got["ids"] if i not in got["split"]]
         if unsplit:
-            raise ValueError(f"field 'split' has no entry for id {unsplit[0]!r}")
+            raise ValueError(f"split has no entry for id {unsplit[0]!r}")
     except ValueError as e:
         raise ManifestError(f"{where}: {e}") from None
-    return DatasetManifest(root=str(root), **{**fields, "rgb_dims": tuple(fields["rgb_dims"])})
+    return DatasetManifest(root=str(root), **{**got, "rgb_dims": tuple(got["rgb_dims"])})
 
 
 def save_dataset(root, samples, seed, variant="PRGB_plus_PIRprime", ir_factor="2"):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scan2d, ssm
+from . import fields, scan2d, ssm
 from .ops import (_linear_grads, conv2d, depthwise_conv2d, layer_norm, linear, relu,
                   resize_bilinear, adaptive_avg_pool2d, silu, walk, walk_back)
 from .trees import tree_flatten, tree_leaves, tree_unflatten
@@ -43,30 +43,22 @@ POOL_BINS = (1, 2, 3, 6)
 
 @dataclass(frozen=True)
 class ModelConfig:
-    in_channels: int = 6
-    patch_size: int = 3
-    embed_dims: tuple = (16, 32, 64, 128)
-    depths: tuple = (1, 1, 1, 1)
-    state_dim: int = 4
-    num_classes: int = 2
-    decoder_dim: int = 32
+    in_channels: int = fields.entry(6, fields.integer(1))
+    patch_size: int = fields.entry(3, fields.integer(1))
+    embed_dims: tuple = fields.entry((16, 32, 64, 128), fields.items(
+        fields.integer(1), "a tuple of two or more integers >= 1", kind=tuple, least=2))
+    depths: tuple = fields.entry((1, 1, 1, 1), fields.items(
+        fields.integer(0), "a tuple of two or more integers >= 0", kind=tuple, least=2))
+    state_dim: int = fields.entry(4, fields.integer(1))
+    num_classes: int = fields.entry(2, fields.integer(1))
+    decoder_dim: int = fields.entry(32, fields.integer(1))
 
     def __post_init__(self):
-        for name in ("in_channels", "patch_size", "state_dim", "num_classes", "decoder_dim"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        for name, least in (("embed_dims", 1), ("depths", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, tuple) and len(value) >= 2
-                    and all(type(v) is int and v >= least for v in value)):
-                raise ValueError(f"{name} must be a tuple of two or more integers >= {least}, "
-                                 f"got {value!r}")
-        if len(self.embed_dims) != len(self.depths):
-            raise ValueError("embed_dims and depths must have the same length")
-        for a, b in zip(self.embed_dims, self.embed_dims[1:]):
-            if b != 2 * a:
-                raise ValueError(f"embed_dims must double from stage to stage, got {self.embed_dims}")
+        fields.check_config(self)
+        if len(self.depths) != len(self.embed_dims):
+            raise ValueError(f"depths is {self.depths!r}, not as long as embed_dims {self.embed_dims!r}")
+        if any(b != 2 * a for a, b in zip(self.embed_dims, self.embed_dims[1:])):
+            raise ValueError(f"embed_dims is {self.embed_dims!r}, not one that doubles per stage")
 
     @property
     def num_stages(self):
@@ -249,9 +241,9 @@ def _chain(vjps, key, steps, x):
     return walk(steps, x, None if vjps is None else vjps.setdefault(key, []))
 
 
-def _op(fn, w, *fields):
+def _op(fn, w, *names):
     """A step: fn(x, *those fields of w), its gradients named by the fields."""
-    return fields, lambda x: fn(x, *(getattr(w, f) for f in fields))
+    return names, lambda x: fn(x, *(getattr(w, f) for f in names))
 
 
 def _transpose(*axes):

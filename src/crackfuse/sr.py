@@ -16,10 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import metrics
+from . import fields, metrics
 from .ops import clamp01, conv2d, relu, resize_bicubic, walk, walk_back
-from .train import (adamw_step, init_optimizer, manifest_field, restore_checkpoint,
-                    save_checkpoint)
+from .train import adamw_step, init_optimizer, restore_checkpoint, save_checkpoint
 from .trees import tree_flatten, tree_unflatten
 
 SR_FORMAT = "crackfuse-sr-v1"
@@ -44,20 +43,13 @@ class SrModel:
 
 @dataclass
 class SrTrainConfig:
-    iters: int = 300
-    lr: float = 2e-3
-    seed: int = 0
-    hidden: int = 32
+    iters: int = fields.entry(300, fields.integer(0))
+    lr: float = fields.entry(2e-3, fields.above(0))  # an lr of 0 trains steps that change nothing
+    seed: int = fields.entry(0, fields.integer(0))
+    hidden: int = fields.entry(32, fields.integer(1))
 
     def __post_init__(self):
-        # a bool is not a number here, and an lr of 0 trains steps that change nothing
-        for name, least in (("iters", 0), ("seed", 0), ("hidden", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        lr = self.lr
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not (math.isfinite(lr) and lr > 0):
-            raise ValueError(f"lr must be a finite number > 0, got {lr!r}")
+        fields.check_config(self)
 
 
 class SrDiverged(RuntimeError):
@@ -229,25 +221,28 @@ def save_sr_checkpoint(path, model: SrModel) -> None:
     })
 
 
-def _is_scale(value) -> bool:
-    return (isinstance(value, list) and len(value) == 2
-            and all(type(v) is int and v >= 1 for v in value))
+# save_sr_checkpoint writes NaN losses for an untrained model
+_LOSS = fields.either(fields.NAN, fields.at_least(0)).optional(math.nan)
+SR_FIELDS = {
+    "format": fields.one_of(SR_FORMAT),
+    "scale": fields.items(fields.integer(1), "a [numerator, denominator] pair of integers >= 1",
+                          least=2, most=2),
+    "initial_loss": _LOSS, "final_loss": _LOSS,
+}
 
 
-def _stored_model(manifest: dict, tensors: dict) -> SrModel:
+def _stored_model(stored: dict, tensors: dict) -> SrModel:
     """The tree an SR archive must hold: init_sr_model at the stored scale,
     as wide as the stored conv1_w, since no manifest field records the width."""
-    num, den = manifest_field(manifest, "scale", _is_scale,
-                              "a [numerator, denominator] pair of positive integers")
     conv1_w = tensors.get("conv1_w")  # restore_checkpoint names it if missing or misshapen
     hidden = conv1_w.shape[0] if conv1_w is not None and conv1_w.ndim == 4 else 1
-    model = init_sr_model(Fraction(num, den), np.random.default_rng(0), hidden=hidden)
-    return replace(model, initial_loss=float(manifest.get("initial_loss", math.nan)),
-                   final_loss=float(manifest.get("final_loss", math.nan)))
+    model = init_sr_model(Fraction(*stored["scale"]), np.random.default_rng(0), hidden=hidden)
+    return replace(model, initial_loss=float(stored["initial_loss"]),
+                   final_loss=float(stored["final_loss"]))
 
 
 def load_sr_checkpoint(path) -> SrModel:
     """The SR model stored at path by save_sr_checkpoint; any other file
     raises CheckpointError naming path."""
-    model, _opt, _manifest = restore_checkpoint(path, SR_FORMAT, _stored_model)
+    model, _opt, _stored = restore_checkpoint(path, SR_FIELDS, _stored_model)
     return model

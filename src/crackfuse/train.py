@@ -1,8 +1,9 @@
 """Optimization: pixel cross-entropy, decoupled-decay Adam, the polynomial
 schedule with linear warmup, checkpoint archives, and the training loop.
 
-Checkpoints are zip archives of MSCM tensors plus a JSON manifest; entries
-carry a fixed timestamp so save -> load -> save is byte-identical.
+Checkpoints are zip archives of MSCM tensors plus a JSON manifest, read
+through a table of fields rules; entries carry a fixed timestamp so save ->
+load -> save is byte-identical.
 """
 from __future__ import annotations
 
@@ -16,50 +17,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics, segnet
+from . import fields, metrics, segnet
 from .tensor import TensorFormatError, check_tensor, tensor_from_bytes, tensor_to_bytes
 from .trees import tree_flatten, tree_unflatten
 
 
-# the values each TrainConfig annotation admits; a bool is not a number here
-_ADMITS = {"int": int, "float": (int, float), "str": str, "float | None": (int, float, type(None))}
-
-
 @dataclass
 class TrainConfig:
-    total_iters: int = 20000
-    batch_size: int = 8
-    base_lr: float = 3e-5
-    weight_decay: float = 0.01
-    warmup_iters: int = 1500
-    poly_power: float = 0.9
-    seed: int = 0
-    eval_interval: int = 100
-    checkpoint_dir: str = "checkpoints"
-    grad_clip: float | None = None
+    # JSON reads NaN and Infinity, and a clip at or below 0 zeroes or flips the gradient
+    total_iters: int = fields.entry(20000, fields.integer(1))
+    batch_size: int = fields.entry(8, fields.integer(1))
+    base_lr: float = fields.entry(3e-5, fields.above(0))
+    weight_decay: float = fields.entry(0.01, fields.at_least(0))
+    warmup_iters: int = fields.entry(1500, fields.integer(0))
+    poly_power: float = fields.entry(0.9, fields.at_least(0))
+    seed: int = fields.entry(0, fields.integer(0))
+    eval_interval: int = fields.entry(100, fields.integer(1))
+    checkpoint_dir: str = fields.entry("checkpoints", fields.PATH)
+    grad_clip: float | None = fields.entry(None, fields.either(fields.above(0), fields.NULL))
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _ADMITS[f.type]):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-        # JSON reads NaN and Infinity, and a clip at or below 0 zeroes or flips the gradient
-        for name, op in (("base_lr", ">"), ("weight_decay", ">="), ("poly_power", ">="),
-                         ("grad_clip", ">")):
-            value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value < 0 or value == 0 and op == ">"):
-                raise ValueError(f"{name} must be finite and {op} 0, got {value!r}")
-        if not 0 <= self.warmup_iters < self.total_iters:
-            raise ValueError(f"warmup_iters must be >= 0 and below total_iters, "
-                             f"got {self.warmup_iters} and {self.total_iters}")
-        for name in ("batch_size", "eval_interval"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.checkpoint_dir or "\0" in self.checkpoint_dir:
-            raise ValueError(f"checkpoint_dir must be a non-empty path without NUL bytes, "
-                             f"got {self.checkpoint_dir!r}")
+        fields.check_config(self)
+        if self.warmup_iters >= self.total_iters:
+            raise ValueError(f"warmup_iters is {self.warmup_iters!r}, not below total_iters {self.total_iters}")
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -146,6 +126,13 @@ def poly_lr(iteration, cfg: TrainConfig) -> float:
 _ZIP_STAMP = (1980, 1, 1, 0, 0, 0)
 CHECKPOINT_FORMAT = "crackfuse-checkpoint-v1"
 
+# the manifest fields a segmenter checkpoint's readers decode (not rng_state)
+CHECKPOINT_FIELDS = {
+    "format": fields.one_of(CHECKPOINT_FORMAT), "iteration": fields.integer(0),
+    "model_config": fields.OBJECT, "train_config": fields.OBJECT,
+    "best_miou": fields.at_least(-1, 1).optional(-1.0),
+}
+
 
 class CheckpointError(ValueError):
     """Raised when a file does not decode as a checkpoint archive."""
@@ -174,12 +161,12 @@ def save_checkpoint(path, named_tensors: dict, manifest: dict) -> None:
         raise
 
 
-def check_resume(manifest: dict, model_config: dict, train_config: dict) -> None:
+def check_resume(stored: dict, model_config: dict, train_config: dict) -> None:
     """Refuse to resume a run whose model or schedule differs from the one
-    that wrote the checkpoint. The checkpoint directory may differ."""
+    that wrote the checkpoint's stored fields. The checkpoint directory may differ."""
     diffs = []
     for section, current in (("model_config", model_config), ("train_config", train_config)):
-        saved = manifest_field(manifest, section, lambda v: isinstance(v, dict), "a JSON object")
+        saved = stored[section]
         for key in sorted(set(saved) | set(current)):
             if key != "checkpoint_dir" and saved.get(key) != current.get(key):
                 diffs.append(f"{section}.{key} is {saved.get(key)!r} in the checkpoint, "
@@ -216,34 +203,19 @@ def load_checkpoint(path):
     return tensors, manifest
 
 
-def manifest_field(doc: dict, key: str, valid, what: str):
-    """doc[key] if valid(value) holds; otherwise ValueError saying the field
-    is missing or is not what it should be. The caller's message names the
-    document."""
-    if key not in doc:
-        raise ValueError(f"no field {key!r}")
-    value = doc[key]
-    if not valid(value):
-        raise ValueError(f"field {key!r} is {value!r}, not {what}")
-    return value
+def restore_checkpoint(path, table: dict, template_of):
+    """The one path from a checkpoint archive back to weights.
 
-
-def restore_checkpoint(path, fmt: str, template_of):
-    """The one path from a checkpoint archive of format fmt back to weights.
-
-    template_of(manifest, tensors) decodes the manifest fields its reader
-    needs and returns the weight tree the archive must hold: every leaf,
-    finite and of the leaf's shape, plus its opt.m./opt.v. moments for every
-    leaf or for none. Returns (weights, opt, manifest), opt an OptimizerState
-    at step 0 or None. Every refusal is a CheckpointError naming path.
+    template_of(stored, tensors) takes the manifest fields table checks and
+    returns the weight tree the archive must hold: every leaf, finite and of
+    the leaf's shape, plus its opt.m./opt.v. moments for every leaf or for
+    none. Returns (weights, opt, stored), opt an OptimizerState at step 0 or
+    None. Every refusal is a CheckpointError naming path.
     """
     tensors, manifest = load_checkpoint(path)
-    found = manifest.get("format")
-    if found != fmt:
-        raise CheckpointError(f"checkpoint {path}: expected a {fmt} checkpoint, "
-                              f"found format {found!r}")
     try:
-        template = template_of(manifest, tensors)
+        stored = fields.check_fields(manifest, table)
+        template = template_of(stored, tensors)
         names = tree_flatten(template)
         extra = [k for k in tensors
                  if (k[len("opt.m."):] if k.startswith(("opt.m.", "opt.v.")) else k) not in names]
@@ -262,7 +234,7 @@ def restore_checkpoint(path, fmt: str, template_of):
                 raise ValueError(f"no optimizer state for: {', '.join(missing)}")
             opt = OptimizerState(m=tree_flatten(tree_unflatten(template, tensors, "opt.m")),
                                  v=tree_flatten(tree_unflatten(template, tensors, "opt.v")))
-        return tree_unflatten(template, tensors), opt, manifest
+        return tree_unflatten(template, tensors), opt, stored
     # ValueError is a refused entry or field; the others are what a model
     # builder raises for stored config values of the wrong type or range
     except (ValueError, TypeError, LookupError, ArithmeticError) as e:
@@ -270,20 +242,16 @@ def restore_checkpoint(path, fmt: str, template_of):
 
 
 def load_model_checkpoint(path) -> segnet.SegModel:
-    """The segmenter stored at path, built from its stored model_config; the
-    optimizer moments, if the archive holds them, are not needed."""
-    model = None
+    """The segmenter stored at path, built from its stored model_config. It
+    reads only format and model_config, all an archive written for inference
+    holds, and not the optimizer moments, if the archive holds them."""
+    def template_of(stored, _tensors):
+        return segnet.init_model(segnet.ModelConfig.from_dict(stored["model_config"]),
+                                 np.random.default_rng(0)).weights
 
-    def template_of(manifest, _tensors):
-        nonlocal model
-        stored = manifest_field(manifest, "model_config", lambda v: isinstance(v, dict),
-                                "a JSON object")
-        model = segnet.init_model(segnet.ModelConfig.from_dict(stored), np.random.default_rng(0))
-        return model.weights
-
-    weights, _opt, _manifest = restore_checkpoint(path, CHECKPOINT_FORMAT, template_of)
-    model.weights = weights
-    return model
+    table = {key: CHECKPOINT_FIELDS[key] for key in ("format", "model_config")}
+    weights, _opt, stored = restore_checkpoint(path, table, template_of)
+    return segnet.SegModel(segnet.ModelConfig.from_dict(stored["model_config"]), weights)
 
 
 # --------------------------------------------------------------------------
@@ -330,19 +298,16 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
     if resume_from is None:
         opt = init_optimizer(segnet.flatten_weights(model))
     else:
-        def template_of(manifest, _tensors):
-            nonlocal start
-            check_resume(manifest, model.cfg.to_dict(), cfg.to_dict())
-            start = manifest_field(manifest, "iteration", lambda v: type(v) is int and v >= 0,
-                                   "a non-negative integer")  # a JSON true is no count
-            result.best_miou = float(manifest.get("best_miou", -1.0))
+        def template_of(stored, _tensors):
+            check_resume(stored, model.cfg.to_dict(), cfg.to_dict())
             return model.weights
 
-        weights, opt, _manifest = restore_checkpoint(resume_from, CHECKPOINT_FORMAT, template_of)
+        weights, opt, stored = restore_checkpoint(resume_from, CHECKPOINT_FIELDS, template_of)
         if opt is None:
             raise CheckpointError(f"checkpoint {resume_from} holds no optimizer state, "
                                   f"which a resume needs")
-        opt.step = start
+        start = opt.step = stored["iteration"]
+        result.best_miou = float(stored["best_miou"])
         model.weights = weights
     params = segnet.flatten_weights(model)
 

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +207,7 @@ def test_train_names_bad_run_config(dataset, tmp_path, capsys, case, named):
         cfg = tmp_path / "missing.json"
     assert run_cli("train", "--config", str(cfg)) == 1
     err = capsys.readouterr().err
+    named = f"{named[1:-1]} is " if named.startswith("'") else named  # "<key> is <value>, not ..."
     assert f"config file {cfg}" in err and named in err and "Traceback" not in err
     assert not (tmp_path / "metrics.jsonl").exists()
 
@@ -213,7 +216,7 @@ def test_readme_run_config_is_valid():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     doc = json.loads(re.search(r"A run config for `train` looks like:\s*```json\n(.*?)```",
                                readme, re.S).group(1))
-    assert cli.validate_run_config(doc) is doc
+    assert cli.validate_run_config(doc) == doc
     segnet.ModelConfig.from_dict({"in_channels": 6, **doc["model"]})
     train.TrainConfig(**doc["train"])
 
@@ -392,7 +395,7 @@ def test_eval_names_manifest_without_split(dataset, capsys):
     path.write_text(json.dumps(doc))
     assert run_cli("eval", "--data", str(dataset), "--variant", "P_RGB") == 2
     err = capsys.readouterr().err
-    assert str(path) in err and "'split'" in err and "Traceback" not in err
+    assert str(path) in err and "split is missing" in err and "Traceback" not in err
 
 
 def test_eval_fused_variant_requires_sr_checkpoint(dataset, capsys):
@@ -460,6 +463,22 @@ def test_counts_checked_where_they_enter(argv, flag, capsys):
 
 def test_runtime_failure_exit_code(tmp_path):
     assert run_cli("eval", "--data", str(tmp_path / "missing")) == 2
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # as in `crackfuse synth ... | head -0`, the reader of stdout is gone before
+    # the command writes; the command runs as a child, so fd 1 is its own
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "crackfuse.cli", "synth", "--count", "1",
+                               "--rgb-dims", "24x24", "--out", str(tmp_path / "d")],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_missing_subcommand_is_usage_error():

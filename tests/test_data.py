@@ -244,6 +244,7 @@ def test_read_manifest_names_file_and_field(tmp_path, edit, field):
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with pytest.raises(data.ManifestError) as err:
         data.read_manifest(tmp_path)
+    field = f"{field[1:-1]} is " if field.startswith("'") else field  # "<key> is ..."
     assert str(path) in str(err.value) and field in str(err.value)
 
 

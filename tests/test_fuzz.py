@@ -140,16 +140,20 @@ def _restores_or_checkpoint_error(read, path):
 @settings(max_examples=100, deadline=None)
 @given(fmt=st.one_of(st.just(train.CHECKPOINT_FORMAT), _FORMAT),
        iteration=st.one_of(st.integers(-2, 5), _JSON), model_config=_MODEL_CONFIG,
-       sr_fmt=st.one_of(st.just(sr.SR_FORMAT), _FORMAT), scale=_SCALE)
-@example(fmt=train.CHECKPOINT_FORMAT, iteration=2, model_config=_CFG.to_dict(),
-         sr_fmt=sr.SR_FORMAT, scale=[2, 1])  # every reader restores this one
+       best_miou=_JSON, sr_fmt=st.one_of(st.just(sr.SR_FORMAT), _FORMAT), scale=_SCALE,
+       initial_loss=_JSON, final_loss=_JSON)
+@example(fmt=train.CHECKPOINT_FORMAT, iteration=2, model_config=_CFG.to_dict(), best_miou=0.5,
+         sr_fmt=sr.SR_FORMAT, scale=[2, 1], initial_loss=float("nan"),
+         final_loss=0.25)  # every reader restores this one
 def test_manifest_fields_restore_or_raise_checkpoint_error(weights, fmt, iteration, model_config,
-                                                           sr_fmt, scale):
+                                                           best_miou, sr_fmt, scale, initial_loss,
+                                                           final_loss):
     root, named, sr_named = weights
     train.save_checkpoint(root / "model.ckpt", named, {
         "format": fmt, "iteration": iteration, "model_config": model_config,
-        "train_config": _TCFG.to_dict(), "best_miou": -1.0})
-    train.save_checkpoint(root / "sr.ckpt", sr_named, {"format": sr_fmt, "scale": scale})
+        "train_config": _TCFG.to_dict(), "best_miou": best_miou})
+    train.save_checkpoint(root / "sr.ckpt", sr_named, {
+        "format": sr_fmt, "scale": scale, "initial_loss": initial_loss, "final_loss": final_loss})
 
     def resume(path):
         train.train(segnet.init_model(_CFG, np.random.default_rng(0)), None,

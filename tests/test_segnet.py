@@ -34,7 +34,7 @@ def test_config_validation():
         TOY.check_input(50, 48)
     TOY.check_input(48, 96)
     # the decoder fuses two or more levels, so a one-stage config is refused
-    with pytest.raises(ValueError, match="embed_dims must be a tuple of two or more"):
+    with pytest.raises(ValueError, match=r"embed_dims is \(16,\), not a tuple of two or more"):
         segnet.ModelConfig(embed_dims=(16,), depths=(1,))
 
 

@@ -160,7 +160,7 @@ def test_training_requires_images():
                                           ("hidden", 0), ("hidden", True)])
 def test_train_config_refuses_values_that_cannot_train(field, value):
     # an lr of 0 would train steps that change nothing, and a bool is not a number
-    with pytest.raises(ValueError, match=f"^{field} must be"):
+    with pytest.raises(ValueError, match=f"^{field} is "):
         sr.SrTrainConfig(**{field: value})
 
 

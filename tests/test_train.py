@@ -350,15 +350,21 @@ _BAD_ARCHIVES = [
     ("resume-without-moments", "resume", _without("opt."), ["optimizer state"]),
     ("non-finite-entry", "eval", _with_entry("decoder.classifier.b", np.array([0.0, np.nan])),
      ["decoder.classifier.b", "non-finite"]),
-    ("no-iteration", "resume", _without_field("iteration"), ["'iteration'"]),
-    ("string-iteration", "resume", _with_field("iteration", "x"), ["'iteration'"]),
-    ("list-model-config", "resume", _with_field("model_config", ["a", 1]), ["'model_config'"]),
-    ("no-model-config", "eval", _without_field("model_config"), ["'model_config'"]),
+    ("no-iteration", "resume", _without_field("iteration"), ["iteration is missing"]),
+    ("string-iteration", "resume", _with_field("iteration", "x"), ["iteration is 'x'"]),
+    ("list-model-config", "resume", _with_field("model_config", ["a", 1]),
+     ["model_config is ['a', 1]"]),
+    ("no-model-config", "eval", _without_field("model_config"), ["model_config is missing"]),
     ("unknown-model-key", "eval",
      lambda t, m: (t, {**m, "model_config": {**m["model_config"], "foo": 1}}), ["foo"]),
-    ("no-scale", "sr", _without_field("scale"), ["'scale'"]),
-    ("zero-denominator", "sr", _with_field("scale", [2, 0]), ["'scale'"]),
-    ("string-scale", "sr", _with_field("scale", "2"), ["'scale'"]),
+    ("no-scale", "sr", _without_field("scale"), ["scale is missing"]),
+    ("zero-denominator", "sr", _with_field("scale", [2, 0]), ["scale is [2, 0]"]),
+    ("string-scale", "sr", _with_field("scale", "2"), ["scale is '2'"]),
+    # a resume that reads a best_miou of NaN or above 1 never rewrites best.ckpt
+    *[(f"best-miou-{value}", "resume", _with_field("best_miou", value), [f"best_miou is {value!r}"])
+      for value in ("nan", True, "0.5", 1e9)],
+    *[(f"{key}-{value}", "sr", _with_field(key, value), [f"{key} is {value!r}"])
+      for key in ("initial_loss", "final_loss") for value in ("inf", "nan", True)],
 ]
 
 
