@@ -90,6 +90,15 @@ def _load_split_samples(manifest):
     return [data.load_sample(manifest.root, i) for i in manifest.ids]
 
 
+def _split_ids(manifest, split):
+    """manifest's ids of split, "train" or "val", or a ManifestError naming both."""
+    ids = manifest.train_ids() if split == "train" else manifest.val_ids()
+    if not ids:
+        path = os.path.join(manifest.root, "manifest.json")
+        raise data.ManifestError(f"dataset manifest {path}: split {split!r} has no ids")
+    return ids
+
+
 def _fit_patch(requested, dims, divisor):
     if requested < divisor:
         raise UsageError(f"patch {requested} is below the model's grid divisor {divisor}")
@@ -119,9 +128,9 @@ def cmd_synth(args):
 
 def cmd_sr_train(args):
     manifest = data.read_manifest(args.data)
+    train_ids = set(_split_ids(manifest, "train"))
     samples = _load_split_samples(manifest)
     factor = Fraction(manifest.ir_factor)
-    train_ids = set(manifest.train_ids())
     train_imgs = [s.ir for s in samples if s.id in train_ids]
     held_imgs = [s.ir for s in samples if s.id not in train_ids]
     cfg = sr.SrTrainConfig(iters=args.iters, lr=args.lr, seed=args.seed)
@@ -203,12 +212,8 @@ def _make_sources(doc, manifest, samples, sr_model=None):
     patch = _fit_patch(doc["patch"], table[manifest.ids[0]][0].shape[-2:], cfg.grid_divisor)
 
     def source(split):
-        ids = manifest.train_ids() if split == "train" else manifest.val_ids()
-        if not ids:
-            path = os.path.join(manifest.root, "manifest.json")
-            raise data.ManifestError(f"dataset manifest {path}: split {split!r} has no ids")
-        return data.BatchSource(table, ids, tcfg.batch_size, patch, tcfg.seed,
-                                augment_data=split == "train")
+        return data.BatchSource(table, _split_ids(manifest, split), tcfg.batch_size, patch,
+                                tcfg.seed, augment_data=split == "train")
 
     return cfg, tcfg, source
 
@@ -247,9 +252,9 @@ def cmd_eval(args):
 
 def cmd_ablate(args):
     manifest = data.read_manifest(args.data)
+    train_ids = set(_split_ids(manifest, "train"))
     samples = _load_split_samples(manifest)
     factor = Fraction(manifest.ir_factor)
-    train_ids = set(manifest.train_ids())
     sr_model = sr.sr_train_selfsupervised(
         [s.ir for s in samples if s.id in train_ids], factor,
         sr.SrTrainConfig(iters=args.sr_iters, seed=args.seed))

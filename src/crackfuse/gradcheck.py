@@ -48,9 +48,10 @@ def grad_check(fn, inputs, tol=1e-5, seed=0, max_entries_per_input=None, name="o
 
     fn(*inputs) must return (y, vjp) with vjp(u) giving one gradient per
     input, in order. Each input is a float array or a weight tree of them
-    (a dataclass or list, see trees), and its gradient has the same shape;
-    y may be an array, a tree or a scalar. Every leaf is checked under its
-    dotted name, the input's position first ("1.b"). For large leaves,
+    (a dataclass or list, see trees), and its gradient has the same leaf
+    names, as a tree or a flat dict; y may be an array, a tree or a scalar.
+    Every leaf is checked under its dotted name, the input's position first
+    ("1.b", "1.scans.0.a_log"). For large leaves,
     max_entries_per_input caps how many coordinates are perturbed (chosen
     by a fixed-seed draw, so the check is deterministic).
     """

@@ -9,7 +9,7 @@ elementwise pass or one small GEMM gives back bit for bit (relu keeps a bool
 mask, silu only its input). A network written as a list of steps runs through
 walk, which keeps each step's vjp only for a caller that asks for them, so a
 forward-only pass holds no closure past the step that made it; walk_back
-replays the kept vjps last first and collects the weight gradients by name.
+replays the kept vjps last first into one flat gradient dict by dotted name.
 
 Layout conventions: feature axes last for pointwise/affine ops; the convs
 take image batches ``[B, C, H, W]`` only, and the resamplers act on the last
@@ -248,8 +248,8 @@ def walk(steps, x, vjps=None):
 
 def walk_back(vjps, dy, grads):
     """Replay the (names, vjp) pairs that walk kept, last first, from dy, and
-    return the walk input's gradient. The weight gradients go into the flat
-    dict grads as tree leaves under their names, for trees.tree_unflatten."""
+    return the walk input's gradient. The weight gradients, trees or such
+    dicts, go into the flat dict grads by dotted name under their names."""
     for names, vjp in reversed(vjps):
         dy, *g = vjp(dy)
         for name, gi in zip(names, g):

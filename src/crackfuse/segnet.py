@@ -14,8 +14,8 @@ float64 only. Every layer computes in its input's dtype and returns
 encoder stage (_encode), one per branch of the gated block (vss_block), one
 between each two decoder joins (_decode). predict walks the encoder and the
 decoder keeping no vjp past its step; vss_block, encoder_forward and
-uper_decode keep the vjps, run them back with ops.walk_back and write only
-the joins by hand.
+uper_decode keep the vjps, run them back with ops.walk_back into the flat
+gradient dict they return, and write only the joins by hand.
 
 model_forward and predict cut a large batch into two fixed, contiguous
 shards (_shards) and run the second on a worker thread while the first runs
@@ -30,6 +30,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -273,7 +274,7 @@ def vss_block(x, w: BlockWeights, parallel=False):
         dprod = walk_back(chains["out"], dy, flat)
         dn1 = (walk_back(chains["main"], dprod * gate, flat)
                + walk_back(chains["gate"], dprod * n2, flat))
-        return walk_back(chains["ln1"], dn1, flat) + dy, tree_unflatten(w, flat)
+        return walk_back(chains["ln1"], dn1, flat) + dy, flat
 
     return y, vjp
 
@@ -322,7 +323,7 @@ def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False
     between stages.
 
     Returns the per-stage feature grids ([B, h, w, C_i], channels-last) and
-    a vjp mapping per-stage upstream grads to (dimage, EncoderWeights grads).
+    a vjp mapping per-stage upstream grads to (dimage, flat weight gradients).
     """
     chains = {}
     feats = _encode(image, enc, cfg, parallel, chains)
@@ -335,7 +336,7 @@ def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False
         for i in reversed(range(n)):
             dt = dfeats[i] if dt is None else dt + dfeats[i]
             dt = walk_back(chains[i], dt, flat)
-        return dt, tree_unflatten(enc, flat)
+        return dt, flat
 
     return feats, vjp
 
@@ -391,8 +392,8 @@ def _decode(features, w: DecoderWeights, out_h, out_w, vjps=None):
 
 def uper_decode(features, w: DecoderWeights, out_h, out_w):
     """_decode keeping its chains: returns logits and a vjp(dlogits) ->
-    (per-level gradients, channels-last, shallow to deep; DecoderWeights
-    gradient). Only the joins between chains are written here."""
+    (per-level gradients, channels-last, shallow to deep; the gradients by
+    DecoderWeights leaf names). Only the joins between chains are written here."""
     chains = {}
     logits = _decode(features, w, out_h, out_w, chains)
     n, c = len(features), features[-1].shape[-1]
@@ -417,7 +418,7 @@ def uper_decode(features, w: DecoderWeights, out_h, out_w):
         for i, dup in enumerate(np.split(dcat[:, c:], len(POOL_BINS), axis=1)):
             ddeep = ddeep + back(("ppm", i), dup)
         dfeat.append(ddeep)
-        return [d.transpose(0, 2, 3, 1) for d in dfeat], tree_unflatten(w, flat)
+        return [d.transpose(0, 2, 3, 1) for d in dfeat], flat
 
     return logits, vjp
 
@@ -481,39 +482,34 @@ def _pool():
         return _POOL
 
 
-def _both(first, second):
-    """(first(), second()), one shard each: first on this thread, second on
-    the worker when another CPU is free for it, else here after first."""
-    if _cpu_count() < 2:
-        return first(), second()
+def _each(runs):
+    """The results of one or two shard runs, in order: the first runs on this
+    thread and the second on the worker when another CPU is free for it,
+    else here after the first."""
+    if len(runs) == 1 or _cpu_count() < 2:
+        return [run() for run in runs]
+    first, second = runs
     future = _pool().submit(second)
     try:
         out = first()
     except BaseException:
         future.exception()  # waits: no shard outlives the call that cut it
         raise
-    return out, future.result()
+    return [out, future.result()]
 
 
-def _sum_grads(g0, g1):
-    """Two weight-gradient trees summed leafwise, shard 0 + shard 1."""
-    flat1 = tree_flatten(g1)
-    return tree_unflatten(g0, {k: v + flat1[k] for k, v in tree_flatten(g0).items()})
-
-
-def _cast(tree, dtype_of):
-    """tree itself when each leaf already has dtype_of(its name), else a copy
-    of tree with each leaf cast to it."""
-    if all(a.dtype == dtype_of(k) for k, a in tree_leaves(tree)):
-        return tree
-    return tree_unflatten(tree, {k: a.astype(dtype_of(k)) for k, a in tree_leaves(tree)})
+def _join(parts):
+    """The shards' outputs as one batch."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _in_dtype(model: SegModel, dtype):
     """model itself when its weights are all of dtype, else a SegModel whose
     weights are cast to dtype."""
-    weights = _cast(model.weights, lambda _: dtype)
-    return model if weights is model.weights else SegModel(model.cfg, weights)
+    if all(a.dtype == dtype for _, a in tree_leaves(model.weights)):
+        return model
+    return SegModel(model.cfg, tree_unflatten(
+        model.weights, {k: a.astype(dtype) for k, a in tree_leaves(model.weights)}))
 
 
 def model_forward(image, model: SegModel, parallel=False):
@@ -522,34 +518,24 @@ def model_forward(image, model: SegModel, parallel=False):
     The one entry point to the Stage-2 layers for training: it refuses any
     other layout, keeps a float32 batch float32 and casts anything else to
     float64 (_images), and runs the layers on the weights cast once to that
-    dtype. Returns (logits, vjp) with vjp(dlogits) -> (dimage, ModelWeights
-    gradient); dimage has the batch's dtype and each weight gradient its
-    master leaf's dtype. A large batch runs as two shards (_shards) whose
-    logits and dimage are concatenated and whose weight gradients are
-    summed, shard 0 + shard 1.
+    dtype. Returns (logits, vjp) with vjp(dlogits) -> (dimage, grads): dimage
+    in the batch's dtype, grads the flat dict adamw_step takes, in the weights'
+    leaf order, each gradient in its master leaf's dtype. A large batch runs
+    as two shards (_shards, _each) whose logits and dimage are concatenated
+    and whose weight gradients are summed, shard 0 + shard 1.
     """
     img = _images(image, model.cfg)
     work = _in_dtype(model, img.dtype)
     shards = _shards(img)
-    if len(shards) == 1:
-        logits, vjp_work = _model_forward(img, work, parallel)
-    else:
-        a, b = shards
-        (y0, vjp0), (y1, vjp1) = _both(lambda: _model_forward(img[a], work, parallel),
-                                       lambda: _model_forward(img[b], work, parallel))
-        logits = np.concatenate([y0, y1])
-
-        def vjp_work(dlogits):
-            (d0, g0), (d1, g1) = _both(lambda: vjp0(dlogits[a]), lambda: vjp1(dlogits[b]))
-            return np.concatenate([d0, d1]), _sum_grads(g0, g1)
-
-    if work is model:
-        return logits, vjp_work
+    outs = _each([partial(_model_forward, img[s], work, parallel) for s in shards])
+    logits, vjps = _join([y for y, _ in outs]), [vjp for _, vjp in outs]
 
     def vjp(dlogits):
-        dimage, grads = vjp_work(dlogits)
-        master = tree_flatten(model.weights)
-        return dimage, _cast(grads, lambda k: master[k].dtype)
+        backs = _each([partial(v, dlogits[s]) for v, s in zip(vjps, shards)])
+        grads = [tree_flatten(g) for _, g in backs]
+        return _join([d for d, _ in backs]), {
+            k: reduce(np.add, (g[k] for g in grads)).astype(w.dtype, copy=False)
+            for k, w in tree_leaves(model.weights)}
 
     return logits, vjp
 
@@ -562,7 +548,7 @@ def _model_forward(img, model: SegModel, parallel):
     def vjp(dlogits):
         dfeats, ddec = vjp_dec(dlogits)
         dimage, denc = vjp_enc(dfeats)
-        return dimage, ModelWeights(encoder=denc, decoder=ddec)
+        return dimage, {"encoder": denc, "decoder": ddec}
 
     return logits, vjp
 
@@ -572,11 +558,7 @@ def predict(image, model: SegModel):
     decoder walks keep no step's vjp past the step that made it."""
     img = _images(image, model.cfg)
     work = _in_dtype(model, img.dtype)
-    shards = _shards(img)
-    if len(shards) == 1:
-        return _predict(img, work)
-    a, b = shards
-    return np.concatenate(_both(lambda: _predict(img[a], work), lambda: _predict(img[b], work)))
+    return _join(_each([partial(_predict, img[s], work) for s in _shards(img)]))
 
 
 def _predict(img, model: SegModel):

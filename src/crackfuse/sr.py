@@ -106,15 +106,15 @@ def _reconstruct(m: SrModel, low, out_h, out_w, vjps=None):
 
 
 def sr_forward(m: SrModel, low, out_h, out_w):
-    """_reconstruct for training: (y, vjp) with vjp(dy) -> an SrModel holding
-    the residual weights' gradients."""
+    """_reconstruct for training: (y, vjp) with vjp(dy) -> the residual
+    weights' gradients by SrModel field name, the dict adamw_step takes."""
     vjps = []
     y, vjp_clamp = _reconstruct(m, low, out_h, out_w, vjps)
 
     def vjp(dy):
         grads = {}
         walk_back(vjps, vjp_clamp(dy)[0][None], grads)
-        return replace(m, **grads)
+        return grads
 
     return y, vjp
 
@@ -172,7 +172,7 @@ def sr_train_selfsupervised(images, factor, cfg: SrTrainConfig | None = None) ->
         if not math.isfinite(loss) or loss > ceiling:
             raise SrDiverged(
                 f"loss {loss:.3e} exceeded 10x initial {initial:.3e} at step {step}; try a lower lr")
-        grads = tree_flatten(vjp(2.0 * diff / diff.size))
+        grads = vjp(2.0 * diff / diff.size)
         params, opt = adamw_step(params, grads, opt, cfg.lr, weight_decay=0.0)
         model = tree_unflatten(model, params)
     model.initial_loss = initial

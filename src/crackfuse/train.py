@@ -104,8 +104,10 @@ def adamw_step(params, grads, state: OptimizerState, lr,
 
 
 def clip_grad_norm(grads: dict, max_norm: float) -> dict:
+    """grads scaled to a global L2 norm of at most max_norm, summed in dict
+    order; a non-finite norm leaves them for adamw_step to name the bad leaf."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total <= max_norm or total == 0.0:
+    if total <= max_norm or not math.isfinite(total):
         return grads
     scale = max_norm / total
     return {k: g * scale for k, g in grads.items()}
@@ -349,8 +351,7 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
                 raise TrainingDiverged(
                     f"non-finite loss at iteration {it}; last good checkpoint kept at {result.last_path}")
             dlogits = vjp_loss(1.0)[0]
-            _dimg, gtree = vjp_model(dlogits)
-            grads = segnet.tree_flatten(gtree)
+            _dimg, grads = vjp_model(dlogits)
             if cfg.grad_clip is not None:
                 grads = clip_grad_norm(grads, cfg.grad_clip)
             lr = poly_lr(it, cfg)

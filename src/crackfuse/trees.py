@@ -3,10 +3,11 @@
 Weight trees are dataclasses whose fields are numpy arrays, other weight
 dataclasses, or lists of either; ints/strings ride along untouched. Leaves
 get dotted names from the field path, which is what the optimizer and the
-checkpoint archive key on. Weight dataclasses declare plain fields only
-(no ClassVar or InitVar), so a walk reads the class's field dict in
-declaration order; dataclasses.fields would build a tuple per node per walk,
-and the model's entry walks the weights on every call.
+checkpoint archive key on. A dict is a tree keyed by name, so a flat
+gradient dict's dotted keys go under its prefix. Weight dataclasses declare
+plain fields only (no ClassVar or InitVar), so a walk reads the class's field
+dict in declaration order; dataclasses.fields would build a tuple per node per
+walk, and the model's entry walks the weights on every call.
 """
 from __future__ import annotations
 
@@ -27,6 +28,9 @@ def tree_leaves(tree, prefix=""):
         for i, item in enumerate(tree):
             name = f"{prefix}.{i}" if prefix else str(i)
             yield from tree_leaves(item, name)
+    elif isinstance(tree, dict):
+        for key, item in tree.items():
+            yield from tree_leaves(item, f"{prefix}.{key}" if prefix else key)
     # scalars / None carry no leaves
 
 
@@ -55,4 +59,7 @@ def tree_unflatten(template, flat: dict, prefix=""):
     if isinstance(template, tuple):
         return tuple(tree_unflatten(t, flat, f"{prefix}.{i}" if prefix else str(i))
                      for i, t in enumerate(template))
+    if isinstance(template, dict):
+        return {k: tree_unflatten(t, flat, f"{prefix}.{k}" if prefix else k)
+                for k, t in template.items()}
     return template

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crackfuse import cli, data, segnet, train
+from crackfuse import cli, data, segnet, sr, train
 from crackfuse.tensor import load_tensor
 
 
@@ -171,16 +171,22 @@ def test_train_refuses_one_stage_model(dataset, tmp_path, capsys):
     assert not (tmp_path / "ck").exists() and not (tmp_path / "metrics.jsonl").exists()
 
 
-def test_train_names_manifest_with_empty_train_split(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["train", "sr-train", "ablate"])
+def test_train_names_manifest_with_empty_train_split(tmp_path, capsys, monkeypatch, command):
     one = tmp_path / "one"
     assert run_cli("synth", "--seed", "0", "--count", "1", "--rgb-dims", "48x48",
                    "--out", str(one)) == 0
     assert json.loads(capsys.readouterr().out)["train"] == 0
-    cfg = _run_config(one, tmp_path)
-    assert run_cli("train", "--config", str(cfg)) == 2
+    argv = {"train": ["--config", str(_run_config(one, tmp_path))],
+            "sr-train": ["--data", str(one), "--out", str(tmp_path / "sr.ckpt")],
+            "ablate": ["--data", str(one), "--work-dir", str(tmp_path / "ck")]}[command]
+    # ablate refuses before its SR step
+    monkeypatch.setattr(sr, "sr_train_selfsupervised", None)
+    assert run_cli(command, *argv) == 2
     err = capsys.readouterr().err
     assert str(one / "manifest.json") in err and "'train' has no ids" in err
-    assert "Traceback" not in err and not (tmp_path / "ck").exists()
+    assert "Traceback" not in err
+    assert not (tmp_path / "ck").exists() and not (tmp_path / "sr.ckpt").exists()
 
 
 @pytest.mark.parametrize("case,named", [
@@ -222,14 +228,24 @@ def test_readme_run_config_is_valid():
 
 
 def test_train_twice_identical_logs(dataset, tmp_path):
-    logs = []
-    for run in range(2):
-        sub = tmp_path / f"run{run}"
-        sub.mkdir()
-        cfg = _run_config(dataset, sub)
-        assert run_cli("train", "--config", str(cfg)) == 0
-        logs.append((sub / "metrics.jsonl").read_text())
-    assert logs[0] == logs[1]
+    for clip in (None, 0.05):
+        logs, tensors = [], []
+        for run in range(2):
+            sub = tmp_path / f"clip{clip}-run{run}"
+            sub.mkdir()
+            cfg = _run_config(dataset, sub)
+            doc = json.loads(cfg.read_text())
+            doc["train"]["grad_clip"] = clip
+            cfg.write_text(json.dumps(doc))
+            assert run_cli("train", "--config", str(cfg)) == 0
+            logs.append((sub / "metrics.jsonl").read_text())
+            # the tensors, not the archive: the manifests differ by checkpoint_dir
+            tensors.append(train.load_checkpoint(sub / "ck" / "last.ckpt")[0])
+        assert logs[0] == logs[1], clip
+        assert tensors[0].keys() == tensors[1].keys()
+        for name, t in tensors[0].items():
+            other = tensors[1][name]
+            assert t.dtype == other.dtype and t.tobytes() == other.tobytes(), (clip, name)
 
 
 def test_eval_untrained_model_valid_report(dataset, capsys):

@@ -356,6 +356,14 @@ def test_flatten_unflatten_roundtrip():
                                 tree_flatten(rebuilt).items()):
         assert n1 == n2
         assert a is b
+    # a dict is a tree keyed by name, so a flat gradient dict's dotted keys
+    # go under the prefix as they are
+    nested = {"enc": {"scans.0.a_log": rng(36).standard_normal(2)}, "dec": [np.zeros(1)]}
+    flat = tree_flatten(nested, "1")
+    assert list(flat) == ["1.enc.scans.0.a_log", "1.dec.0"]
+    rebuilt = tree_unflatten(nested, flat, "1")
+    assert rebuilt["enc"]["scans.0.a_log"] is flat["1.enc.scans.0.a_log"]
+    assert rebuilt["dec"][0] is flat["1.dec.0"]
 
 
 # --------------------------------------------------------------------------
@@ -375,8 +383,8 @@ def _sharded_case(dtype=np.float64):
 def _step(model, img, target):
     """Logits, dimage and the flat weight gradient of one cross-entropy step."""
     logits, vjp = segnet.model_forward(img, model)
-    dimage, gtree = vjp(train.cross_entropy(logits, target)[1](1.0)[0])
-    return logits, dimage, tree_flatten(gtree)
+    dimage, grads = vjp(train.cross_entropy(logits, target)[1](1.0)[0])
+    return logits, dimage, grads
 
 
 def test_shard_cut_follows_the_gate():
@@ -415,6 +423,11 @@ def test_shard_outputs_do_not_depend_on_worker_count(monkeypatch, cpus, dtype):
     for name, g in grads.items():
         assert np.array_equal(g, want[2][name]), name
     assert np.array_equal(segnet.predict(img, model), logits)
+    # clip_grad_norm sums in dict order: two shards and one keep the weights' order
+    names = list(tree_flatten(model.weights))
+    assert list(grads) == names
+    assert segnet._shards(img[:1]) == [slice(0, 1)]
+    assert list(_step(model, img[:1], target[:1])[2]) == names
 
 
 def test_shard_matches_whole_batch_within_tolerance():
@@ -437,12 +450,14 @@ def test_shard_below_gate_runs_whole_batch_on_caller(monkeypatch):
     dlogits = rng(45).standard_normal((8, 2, 48, 48))
     threads = threading.active_count()
     logits, vjp = segnet.model_forward(img, model)
-    dimage, gtree = vjp(dlogits)
+    dimage, grads = vjp(dlogits)
     whole, whole_vjp = segnet._model_forward(img, model, False)
     whole_dimage, whole_tree = whole_vjp(dlogits)
     assert np.array_equal(logits, whole) and np.array_equal(dimage, whole_dimage)
-    for (name, g), w in zip(tree_flatten(gtree).items(), tree_flatten(whole_tree).values()):
-        assert np.array_equal(g, w), name
+    whole_grads = tree_flatten(whole_tree)
+    assert grads.keys() == whole_grads.keys()
+    for name, g in grads.items():
+        assert np.array_equal(g, whole_grads[name]), name
     assert np.array_equal(segnet.predict(img, model), segnet._predict(img, model))
     assert segnet._POOL is None and threading.active_count() == threads
 

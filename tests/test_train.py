@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 import zipfile
 
 import numpy as np
@@ -115,6 +116,15 @@ def test_clip_grad_norm():
     zeros = {"a": np.zeros(2), "b": np.zeros((1, 1))}
     out = train.clip_grad_norm(zeros, 1.0)
     assert all(np.array_equal(out[k], zeros[k]) for k in zeros)
+    # a non-finite leaf reaches adamw_step as it is, so the error names it
+    params = {"a": np.zeros(3), "b": np.zeros(2)}
+    for bad in (np.nan, np.inf):
+        grads = {"a": np.ones(3), "b": np.array([1.0, bad])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = train.clip_grad_norm(grads, 0.5)
+            with pytest.raises(FloatingPointError, match="parameter 'b'"):
+                train.adamw_step(params, out, train.init_optimizer(params), lr=1e-3)
 
 
 def test_train_with_grad_clip_is_deterministic(tmp_path, monkeypatch):
