@@ -93,12 +93,24 @@ def _parse_netpbm(buf: bytes, magic: bytes, path=""):
     return arr, width, height
 
 
+def _pixels(img):
+    """A float image in [0,1] as the 8-bit pixels a P6 file stores."""
+    return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+
+
+def _frame(pixels):
+    """8-bit pixels as a float32 frame scaled to [0,1], the dtype both stages
+    then compute in. float32 is 24 bits wide, so _pixels gives back the same
+    pixels."""
+    return pixels.astype(np.float32) / np.float32(255)
+
+
 def load_image(path):
-    """Read a P6 file as float64 [3,H,W] scaled to [0,1]."""
+    """Read a P6 file as a float32 [3,H,W] frame scaled to [0,1]."""
     with open(path, "rb") as f:
         buf = f.read()
     arr, _, _ = _parse_netpbm(buf, b"P6", path=str(path))
-    return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return _frame(arr.transpose(2, 0, 1))
 
 
 def save_image(path, img):
@@ -106,7 +118,7 @@ def save_image(path, img):
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ValueError(f"expected [3,H,W], got {img.shape}")
-    q = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8).transpose(1, 2, 0)
+    q = _pixels(img).transpose(1, 2, 0)
     h, w = q.shape[:2]
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (w, h))
@@ -143,8 +155,8 @@ def save_mask(path, mask):
 
 @dataclass
 class SamplePair:
-    rgb: np.ndarray    # [3, Hr, Wr] in [0,1]
-    ir: np.ndarray     # [3, Hi, Wi] in [0,1]
+    rgb: np.ndarray    # [3, Hr, Wr] float32 8-bit frame in [0,1]
+    ir: np.ndarray     # [3, Hi, Wi] float32 8-bit frame in [0,1]
     mask: np.ndarray   # [Hr, Wr] int64 {0,1}
     id: str
 
@@ -226,7 +238,9 @@ def synth_dataset(seed, n, rgb_dims, ir_factor):
 
     Cracks are smooth polylines dilated to 1..4 px, darkened in RGB; a random
     subset is visible only as thermal contrast. Each sample's crack fraction
-    is forced into [0.2%, 8%] by deterministic retry.
+    is forced into [0.2%, 8%] by deterministic retry. The RGB and IR images
+    are 8-bit float32 frames, equal bit for bit to what save_dataset writes
+    and load_image reads back.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -240,8 +254,8 @@ def synth_dataset(seed, n, rgb_dims, ir_factor):
                 break
         else:
             raise RuntimeError(f"could not hit the crack-fraction window for sample {i}")
-        samples.append(SamplePair(rgb=made["rgb"], ir=made["ir"], mask=made["mask"],
-                                  id=f"s{i:04d}"))
+        samples.append(SamplePair(rgb=_frame(_pixels(made["rgb"])), ir=_frame(_pixels(made["ir"])),
+                                  mask=made["mask"], id=f"s{i:04d}"))
     return samples
 
 

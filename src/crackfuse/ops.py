@@ -15,7 +15,9 @@ Layout conventions: feature axes last for pointwise/affine ops; the convs
 take image batches ``[B, C, H, W]`` only, and the resamplers act on the last
 two axes of any array. Every operation computes in its input's float dtype,
 work arrays included, so float32 in gives float32 out. The resamplers take
-an integer array as float64; the convs take float batches only.
+an integer array as float64; the convs take float batches only. as_float is
+the one dtype decision of both stages' entries: float32 stays float32, and
+anything else becomes float64.
 """
 from __future__ import annotations
 
@@ -24,6 +26,13 @@ from functools import lru_cache
 import numpy as np
 
 from .trees import tree_flatten
+
+
+def as_float(x):
+    """x as the array a stage computes in: itself when it is a float32 array,
+    else a float64 array."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
 
 
 def _sigmoid(x):

@@ -6,8 +6,9 @@ channels-last ([B, H, W, C]), and the decoder works channels-first
 ([B, C, h, w]) because it is convolutional. model_forward (training) and
 predict (inference) check the layout and make the one dtype decision: a
 float32 batch (data.materialize's frames) stays float32 and anything else
-becomes float64. The weights stay float64 masters; both entries cast them to
-the batch's dtype once per call, and model_forward's vjp returns each weight
+becomes float64 (ops.as_float, Stage 1's rule too). The weights stay float64
+masters; both entries cast them to the batch's dtype once per call
+(trees.tree_astype), and model_forward's vjp returns each weight
 gradient in its master's dtype, so the optimizer and the checkpoints see
 float64 only. Every layer computes in its input's dtype and returns
 (output, vjp). The networks are chains of named steps, written once: one per
@@ -35,9 +36,9 @@ from functools import partial, reduce
 import numpy as np
 
 from . import fields, scan2d, ssm
-from .ops import (_linear_grads, conv2d, depthwise_conv2d, layer_norm, linear, relu,
-                  resize_bilinear, adaptive_avg_pool2d, silu, walk, walk_back)
-from .trees import tree_flatten, tree_leaves, tree_unflatten
+from .ops import (_linear_grads, as_float, conv2d, depthwise_conv2d, layer_norm, linear,
+                  relu, resize_bilinear, adaptive_avg_pool2d, silu, walk, walk_back)
+from .trees import tree_astype, tree_flatten, tree_leaves, tree_unflatten
 
 POOL_BINS = (1, 2, 3, 6)
 
@@ -426,10 +427,8 @@ def uper_decode(features, w: DecoderWeights, out_h, out_w):
 def _images(image, cfg: ModelConfig):
     """image as a [B, C, H, W] batch of cfg's channels, or ValueError. The
     batch computes in its own dtype when that is float32 and in float64
-    otherwise."""
-    img = np.asarray(image)
-    if img.dtype != np.float32:
-        img = np.asarray(img, dtype=np.float64)
+    otherwise (ops.as_float)."""
+    img = as_float(image)
     if img.ndim != 4:
         raise ValueError(f"expected a [B, C, H, W] batch of images, got shape {img.shape}")
     if 0 in img.shape:
@@ -503,15 +502,6 @@ def _join(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _in_dtype(model: SegModel, dtype):
-    """model itself when its weights are all of dtype, else a SegModel whose
-    weights are cast to dtype."""
-    if all(a.dtype == dtype for _, a in tree_leaves(model.weights)):
-        return model
-    return SegModel(model.cfg, tree_unflatten(
-        model.weights, {k: a.astype(dtype) for k, a in tree_leaves(model.weights)}))
-
-
 def model_forward(image, model: SegModel, parallel=False):
     """Full network: [B, C_in, H, W] images -> [B, num_classes, H, W] logits.
 
@@ -525,7 +515,7 @@ def model_forward(image, model: SegModel, parallel=False):
     and whose weight gradients are summed, shard 0 + shard 1.
     """
     img = _images(image, model.cfg)
-    work = _in_dtype(model, img.dtype)
+    work = tree_astype(model, img.dtype)
     shards = _shards(img)
     outs = _each([partial(_model_forward, img[s], work, parallel) for s in shards])
     logits, vjps = _join([y for y, _ in outs]), [vjp for _, vjp in outs]
@@ -557,7 +547,7 @@ def predict(image, model: SegModel):
     """model_forward's logits, bit for bit, for inference: the encoder and
     decoder walks keep no step's vjp past the step that made it."""
     img = _images(image, model.cfg)
-    work = _in_dtype(model, img.dtype)
+    work = tree_astype(model, img.dtype)
     return _join(_each([partial(_predict, img[s], work) for s in _shards(img)]))
 
 

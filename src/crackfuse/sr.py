@@ -7,6 +7,13 @@ factor and regresses the reconstruction onto the original; the final conv
 starts at zero, making the untrained model exactly the bicubic baseline.
 The net is one walk of steps; only sr_forward, the training path, keeps their
 vjps, so applying the model and scoring it hold one layer's closures at a time.
+
+Every entry computes in its image's dtype by the rule Stage 2 uses
+(ops.as_float): a float32 image stays float32, the dtype data.load_image and
+synth_dataset give their 8-bit frames, and anything else becomes float64. The
+weights stay float64 masters, cast once per reconstruction to the image's
+dtype; sr_forward's gradients come back in the masters' dtype, so AdamW and
+the SR checkpoints see float64 only.
 """
 from __future__ import annotations
 
@@ -17,9 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import fields, metrics
-from .ops import clamp01, conv2d, relu, resize_bicubic, walk, walk_back
+from .ops import as_float, clamp01, conv2d, relu, resize_bicubic, walk, walk_back
 from .train import adamw_step, init_optimizer, restore_checkpoint, save_checkpoint
-from .trees import tree_flatten, tree_unflatten
+from .trees import tree_astype, tree_flatten, tree_unflatten
 
 SR_FORMAT = "crackfuse-sr-v1"
 
@@ -83,7 +90,7 @@ def degrade(img, factor):
     oh, ow = _scaled_extent(h, f), _scaled_extent(w, f)
     if oh < 8 or ow < 8:
         raise ValueError(f"degraded size {oh}x{ow} is too small to train on (min 8)")
-    return resize_bicubic(np.asarray(img, dtype=np.float64), oh, ow)[0]
+    return resize_bicubic(as_float(img), oh, ow)[0]
 
 
 def _residual_net(m: SrModel, x, vjps=None):
@@ -99,22 +106,24 @@ def _residual_net(m: SrModel, x, vjps=None):
 
 def _reconstruct(m: SrModel, low, out_h, out_w, vjps=None):
     """Bicubic upsample of one [3, h, w] image plus predicted residual,
-    clamped to [0, 1], as (y, the clamp's vjp); the residual net runs it as a
-    batch of one and appends its steps' vjps to vjps when given a list."""
-    up = resize_bicubic(np.asarray(low, dtype=np.float64), out_h, out_w)[0]
-    return clamp01(up + _residual_net(m, up[None], vjps)[0])
+    clamped to [0, 1], as (y, the clamp's vjp), in the image's dtype
+    (as_float); the residual net runs it as a batch of one on the weights cast
+    to that dtype and appends its steps' vjps to vjps when given a list."""
+    up = resize_bicubic(as_float(low), out_h, out_w)[0]
+    return clamp01(up + _residual_net(tree_astype(m, up.dtype), up[None], vjps)[0])
 
 
 def sr_forward(m: SrModel, low, out_h, out_w):
     """_reconstruct for training: (y, vjp) with vjp(dy) -> the residual
-    weights' gradients by SrModel field name, the dict adamw_step takes."""
+    weights' gradients by SrModel field name, the dict adamw_step takes, each
+    in its master's dtype whatever the dtypes of low and dy."""
     vjps = []
     y, vjp_clamp = _reconstruct(m, low, out_h, out_w, vjps)
 
     def vjp(dy):
         grads = {}
         walk_back(vjps, vjp_clamp(dy)[0][None], grads)
-        return grads
+        return {k: g.astype(getattr(m, k).dtype, copy=False) for k, g in grads.items()}
 
     return y, vjp
 
@@ -133,7 +142,7 @@ def corpus_loss(model: SrModel, images, factor) -> float:
     """Mean reconstruction MSE over a corpus at the training scale."""
     total = 0.0
     for img in images:
-        img = np.asarray(img, dtype=np.float64)
+        img = as_float(img)
         low = degrade(img, factor) if Fraction(factor) > 1 else img
         rec = _reconstruct(model, low, img.shape[-2], img.shape[-1])[0]
         total += float(np.mean((rec - img) ** 2))
@@ -164,7 +173,7 @@ def sr_train_selfsupervised(images, factor, cfg: SrTrainConfig | None = None) ->
     # 10x-initial divergence trigger carries an absolute MSE floor
     ceiling = 10.0 * max(initial, 1e-4)
     for step in range(cfg.iters):
-        target = np.asarray(images[step % len(images)], dtype=np.float64)
+        target = as_float(images[step % len(images)])
         low = degrade(target, f) if f > 1 else target
         pred, vjp = sr_forward(model, low, target.shape[-2], target.shape[-1])
         diff = pred - target
@@ -185,7 +194,7 @@ def evaluate_sr(model: SrModel, images, factor):
     reconstructing the original from its degraded copy."""
     rows = []
     for idx, img in enumerate(images):
-        img = np.asarray(img, dtype=np.float64)
+        img = as_float(img)
         h, w = img.shape[-2:]
         low = degrade(img, factor)
         up = np.clip(resize_bicubic(low, h, w)[0], 0.0, 1.0)
@@ -199,9 +208,9 @@ def evaluate_sr(model: SrModel, images, factor):
 
 
 def fuse_channels(rgb, ir_sr):
-    """Concatenate [R,G,B] with the three aligned thermal channels."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    ir_sr = np.asarray(ir_sr, dtype=np.float64)
+    """Concatenate [R,G,B] with the three aligned thermal channels, in float32
+    when both are float32 and in float64 otherwise."""
+    rgb, ir_sr = as_float(rgb), as_float(ir_sr)
     if rgb.shape[0] != 3 or ir_sr.shape[0] != 3:
         raise ValueError(f"expected two 3-channel images, got {rgb.shape} and {ir_sr.shape}")
     if rgb.shape[1:] != ir_sr.shape[1:]:

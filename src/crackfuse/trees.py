@@ -38,6 +38,15 @@ def tree_flatten(tree, prefix="") -> dict:
     return dict(tree_leaves(tree, prefix))
 
 
+def tree_astype(tree, dtype):
+    """tree itself when every leaf already has dtype, else a tree of the same
+    shape whose leaves are cast to dtype. A stage casts its float64 master
+    weights with this once per call to the dtype of the frames it computes in."""
+    if all(a.dtype == dtype for _, a in tree_leaves(tree)):
+        return tree
+    return tree_unflatten(tree, {k: a.astype(dtype) for k, a in tree_leaves(tree)})
+
+
 def tree_unflatten(template, flat: dict, prefix=""):
     """Rebuild a tree shaped like template, pulling leaf arrays from flat."""
     if isinstance(template, np.ndarray):

@@ -509,10 +509,17 @@ def test_gradcheck_command_passes(capsys):
 
 
 def test_sr_train_idempotent_checkpoint(dataset, tmp_path):
+    # Stage 1 runs on float32 frames; each file it writes repeats byte for byte
     digests = []
     for run in range(2):
         ckpt = tmp_path / f"sr{run}.ckpt"
         assert run_cli("sr-train", "--data", str(dataset), "--out", str(ckpt),
                        "--iters", "8") == 0
-        digests.append(hashlib.sha256(ckpt.read_bytes()).hexdigest())
+        sr_dir, fused_dir = tmp_path / f"irsr{run}", tmp_path / f"fused{run}"
+        assert run_cli("sr-apply", "--data", str(dataset), "--checkpoint", str(ckpt),
+                       "--out", str(sr_dir)) == 0
+        assert run_cli("fuse", "--data", str(dataset), "--sr-dir", str(sr_dir),
+                       "--out", str(fused_dir)) == 0
+        digests.append((hashlib.sha256(ckpt.read_bytes()).hexdigest(),
+                        dir_digest(sr_dir), dir_digest(fused_dir)))
     assert digests[0] == digests[1]

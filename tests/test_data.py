@@ -19,7 +19,7 @@ def test_ppm_roundtrip(tmp_path):
     p = tmp_path / "x.ppm"
     data.save_image(p, img)
     back = data.load_image(p)
-    assert back.shape == img.shape
+    assert back.shape == img.shape and back.dtype == np.float32
     assert np.max(np.abs(back - img)) <= 1.0 / 255.0 + 1e-12
 
 
@@ -86,6 +86,19 @@ def test_synth_dims_and_binary_mask():
     assert s.ir.shape == (3, 29, 29)
     assert s.mask.shape == (96, 96)
     assert set(np.unique(s.mask)) <= {0, 1}
+
+
+def test_synth_frames_are_the_float32_frames_saved(tmp_path):
+    # synth quantizes each frame to 8 bits, so a dataset read back from disk
+    # holds the very frames that were generated
+    samples = small_dataset(seed=5, n=3, dims=(96, 96), factor="10/3")
+    data.save_dataset(tmp_path, samples, seed=5)
+    for s in samples:
+        back = data.load_sample(tmp_path, s.id)
+        for name in ("rgb", "ir"):
+            made, read = getattr(s, name), getattr(back, name)
+            assert made.dtype == read.dtype == np.float32, name
+            assert np.array_equal(made, read), (s.id, name)
 
 
 def test_synth_crack_fraction_window_over_seeds():

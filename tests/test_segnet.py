@@ -9,7 +9,7 @@ import pytest
 
 from crackfuse import checks, ops, segnet, train
 from crackfuse.gradcheck import grad_check
-from crackfuse.trees import tree_flatten, tree_unflatten
+from crackfuse.trees import tree_astype, tree_flatten, tree_unflatten
 
 TOY = segnet.ModelConfig()  # 6ch, patch 3, dims (16,32,64,128), depths (1,1,1,1)
 
@@ -352,10 +352,10 @@ def test_flatten_unflatten_roundtrip():
     model = segnet.init_model(TINY, rng(35))
     flat = segnet.flatten_weights(model)
     rebuilt = segnet.unflatten_weights(model, flat)
-    for (n1, a), (n2, b) in zip(tree_flatten(model.weights).items(),
-                                tree_flatten(rebuilt).items()):
-        assert n1 == n2
-        assert a is b
+    want, got = tree_flatten(model.weights), tree_flatten(rebuilt)
+    assert list(want) == list(got)
+    for name, a in want.items():
+        assert a is got[name], name
     # a dict is a tree keyed by name, so a flat gradient dict's dotted keys
     # go under the prefix as they are
     nested = {"enc": {"scans.0.a_log": rng(36).standard_normal(2)}, "dec": [np.zeros(1)]}
@@ -364,6 +364,19 @@ def test_flatten_unflatten_roundtrip():
     rebuilt = tree_unflatten(nested, flat, "1")
     assert rebuilt["enc"]["scans.0.a_log"] is flat["1.enc.scans.0.a_log"]
     assert rebuilt["dec"][0] is flat["1.dec.0"]
+
+
+def test_tree_astype_casts_leaves_or_returns_the_tree():
+    model = segnet.init_model(TINY, rng(37))
+    assert tree_astype(model, np.float64) is model  # the float64 entries copy nothing
+    cast = tree_astype(model, np.float32)
+    assert cast.cfg == model.cfg
+    master, work = tree_flatten(model), tree_flatten(cast)
+    assert list(master) == list(work)
+    for name, a in master.items():
+        assert work[name].dtype == np.float32 and a.dtype == np.float64, name
+        assert np.array_equal(work[name], a.astype(np.float32)), name
+    assert tree_astype(cast, np.float32) is cast
 
 
 # --------------------------------------------------------------------------
@@ -516,11 +529,6 @@ def test_empty_images_rejected(entry, shape):
         getattr(segnet, entry)(np.zeros(shape), model)
 
 
-def _as_float32(tree):
-    """A copy of a weight tree (or a list of inputs) with float32 leaves."""
-    return tree_unflatten(tree, {k: v.astype(np.float32) for k, v in tree_flatten(tree).items()})
-
-
 def _dtypes(tree):
     """The dtype of each leaf of tree, by name."""
     return {k: v.dtype for k, v in tree_flatten(tree).items()}
@@ -531,15 +539,15 @@ SUITE = checks.suite()
 
 @pytest.mark.parametrize("check", SUITE, ids=[name for name, *_ in SUITE])
 def test_suite_op_computes_in_float32(check):
-    # every layer follows its input's dtype; only segnet._images picks one
+    # every layer follows its input's dtype; only the entries pick one (ops.as_float)
     _name, fn, inputs, _max_entries = check
-    y, vjp = fn(*_as_float32(inputs))
+    y, vjp = fn(*tree_astype(inputs, np.float32))
     if isinstance(y, float):  # a loss
         dy = 1.0
     else:
         assert set(_dtypes(y).values()) == {np.dtype(np.float32)}, _dtypes(y)
-        dy = _as_float32(tree_unflatten(y, {k: np.random.default_rng(1).standard_normal(v.shape)
-                                            for k, v in tree_flatten(y).items()}))
+        dy = tree_astype(tree_unflatten(y, {k: np.random.default_rng(1).standard_normal(v.shape)
+                                            for k, v in tree_flatten(y).items()}), np.float32)
     grads = _dtypes(list(vjp(dy)))
     assert len(grads) == len(tree_flatten(list(inputs)))
     assert set(grads.values()) == {np.dtype(np.float32)}, grads
@@ -561,7 +569,7 @@ def test_model_computes_in_float32(parallel):
     for name, leaf in tree_flatten(model.weights).items():
         assert leaf is master[name] and np.array_equal(leaf, kept[name]), name
     # the layers behind the cast keep every weight gradient in float32
-    work = segnet._in_dtype(model, np.float32)
+    work = tree_astype(model, np.float32)
     _, vjp32 = segnet._model_forward(image.astype(np.float32), work, parallel)
     assert set(_dtypes(vjp32(dlogits.astype(np.float32))[1]).values()) == {np.dtype(np.float32)}
     predicted = segnet.predict(image.astype(np.float32), model)  # the sequential scan

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,62 @@ def test_sr_apply_is_forward_only(peak_bytes):
     assert apply_peak <= 1.1 * SR_APPLY_PEAK, apply_peak
 
 
+# sr_apply's peak at the same shape on a float32 frame: the net computes in
+# float32, so its activations take half the bytes
+SR_APPLY_PEAK_FLOAT32 = 3_174_452
+
+
+def test_float32_sr_apply_stays_float32(peak_bytes):
+    m = sr.init_sr_model(2, np.random.default_rng(12))
+    m.conv3_w[:] = np.random.default_rng(13).standard_normal(m.conv3_w.shape) * 0.05
+    ir = smooth_image(14, 30, 40).astype(np.float32)
+    sr.sr_apply(m, ir, (60, 80))  # first-call caches stay out of the count
+    out, peak = peak_bytes(lambda x: sr.sr_apply(m, x, (60, 80)), ir.copy)
+    assert out.dtype == np.float32
+    assert peak <= 1.1 * SR_APPLY_PEAK_FLOAT32, peak
+    assert m.conv1_w.dtype == np.float64  # the masters are not cast in place
+
+
+def _fixture_29_to_96():
+    """A model with a live residual path, a 29^2 image upsampled to 96^2 and a
+    cotangent, all float64."""
+    m = sr.init_sr_model(2, np.random.default_rng(3))
+    m.conv3_w = np.random.default_rng(4).standard_normal(m.conv3_w.shape) * 0.05
+    low = np.random.default_rng(5).uniform(0.2, 0.8, (3, 29, 29))
+    return m, low, np.random.default_rng(6).standard_normal((3, 96, 96))
+
+
+@pytest.mark.parametrize("low_dtype", [np.float32, np.float64])
+def test_float32_forward_keeps_float64_gradients(low_dtype):
+    # a float32 image computes in float32; a float32 cotangent under a float64
+    # image must not leak float32 into a gradient either
+    m, low, dy = _fixture_29_to_96()
+    y, vjp = sr.sr_forward(m, low.astype(low_dtype), 96, 96)
+    assert y.dtype == low_dtype
+    grads = vjp(dy.astype(np.float32))
+    assert sorted(grads) == sorted(tree_flatten(m))
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
+    # float32 against float64: measured 2.0e-7 absolute on y and 1.0e-6 of
+    # each gradient's largest entry
+    want_y, want_vjp = sr.sr_forward(m, low, 96, 96)
+    assert np.abs(y - want_y).max() <= 1e-6
+    for name, g in want_vjp(dy).items():
+        assert np.abs(grads[name] - g).max() <= 1e-5 * np.abs(g).max(), name
+
+
+def test_stage1_follows_its_input_dtype():
+    img32 = smooth_image(15, 24, 24).astype(np.float32)
+    assert sr.degrade(img32, 2).dtype == np.float32
+    assert sr.degrade(np.full((3, 24, 24), 1), 2).dtype == np.float64  # integers compute in float64
+    assert sr.fuse_channels(img32, img32).dtype == np.float32
+    assert sr.fuse_channels(img32, img32.astype(np.float64)).dtype == np.float64
+    m = sr.sr_train_selfsupervised([img32], 2, sr.SrTrainConfig(iters=3, lr=1e-3, hidden=4))
+    assert {a.dtype for a in tree_flatten(m).values()} == {np.dtype(np.float64)}
+    assert math.isfinite(m.final_loss) and math.isfinite(sr.corpus_loss(m, [img32], 2))
+    row = sr.evaluate_sr(m, [img32], 2)[0]
+    assert row["psnr_model"] > 20 and row["psnr_bicubic"] > 20
+
+
 def test_training_reduces_loss():
     imgs = [textured_image(20 + i) for i in range(4)]
     model = sr.sr_train_selfsupervised(imgs, 2, sr.SrTrainConfig(iters=120, lr=1e-3, hidden=8))
@@ -199,7 +256,9 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "sr.ckpt"
     sr.save_sr_checkpoint(path, m)
     m2 = sr.load_sr_checkpoint(path)
-    for (n1, a), (n2, b) in zip(tree_flatten(m).items(), tree_flatten(m2).items()):
-        assert n1 == n2 and np.array_equal(a, b)
+    want, got = tree_flatten(m), tree_flatten(m2)
+    assert list(want) == list(got)
+    for name, a in want.items():
+        assert np.array_equal(a, got[name]), name
     assert (m2.scale_num, m2.scale_den) == (5, 2)
     assert (m2.initial_loss, m2.final_loss) == (m.initial_loss, m.final_loss)
