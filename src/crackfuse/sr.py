@@ -26,7 +26,7 @@ import numpy as np
 from . import fields, metrics
 from .ops import as_float, clamp01, conv2d, relu, resize_bicubic, walk, walk_back
 from .train import adamw_step, init_optimizer, restore_checkpoint, save_checkpoint
-from .trees import tree_astype, tree_flatten, tree_unflatten
+from .trees import tree_astype, tree_flatten
 
 SR_FORMAT = "crackfuse-sr-v1"
 
@@ -153,9 +153,10 @@ def sr_train_selfsupervised(images, factor, cfg: SrTrainConfig | None = None) ->
     """Train the residual net on (degraded, original) pairs with MSE loss.
 
     Each step picks one image round-robin, degrades it, reconstructs, and
-    regresses. Recorded initial/final losses are corpus-level MSEs (per-step
-    losses are not comparable across images). Raises SrDiverged if a step
-    loss exceeds 10x the initial loss.
+    regresses; AdamW updates the model's float64 weights in place. Recorded
+    initial/final losses are corpus-level MSEs (per-step losses are not
+    comparable across images). Raises SrDiverged if a step loss exceeds 10x
+    the initial loss.
     """
     if not images:
         raise ValueError("need at least one training image")
@@ -165,8 +166,7 @@ def sr_train_selfsupervised(images, factor, cfg: SrTrainConfig | None = None) ->
         raise ValueError(f"factor must be >= 1, got {f}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5372]))
     model = init_sr_model(f, rng, hidden=cfg.hidden)
-    params = tree_flatten(model)
-    opt = init_optimizer(params)
+    opt = init_optimizer(model)
 
     initial = corpus_loss(model, images, f)
     # the zero-init start can sit near the loss floor already, so the
@@ -182,8 +182,7 @@ def sr_train_selfsupervised(images, factor, cfg: SrTrainConfig | None = None) ->
             raise SrDiverged(
                 f"loss {loss:.3e} exceeded 10x initial {initial:.3e} at step {step}; try a lower lr")
         grads = vjp(2.0 * diff / diff.size)
-        params, opt = adamw_step(params, grads, opt, cfg.lr, weight_decay=0.0)
-        model = tree_unflatten(model, params)
+        adamw_step(model, grads, opt, cfg.lr, weight_decay=0.0)
     model.initial_loss = initial
     model.final_loss = corpus_loss(model, images, f)
     return model

@@ -7,6 +7,7 @@ load -> save is byte-identical.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import fields, metrics, segnet
 from .tensor import TensorFormatError, check_tensor, tensor_from_bytes, tensor_to_bytes
-from .trees import tree_flatten, tree_unflatten
+from .trees import tree_flatten, tree_leaves, tree_unflatten
 
 
 @dataclass
@@ -75,32 +76,33 @@ class OptimizerState:
     step: int = 0
 
 
-def init_optimizer(params: dict) -> OptimizerState:
-    return OptimizerState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-        step=0,
-    )
+def init_optimizer(weights) -> OptimizerState:
+    """Zero moments for every leaf of a weight tree, keyed by its dotted name."""
+    return OptimizerState(m={k: np.zeros_like(p) for k, p in tree_leaves(weights)},
+                          v={k: np.zeros_like(p) for k, p in tree_leaves(weights)})
 
 
-def adamw_step(params, grads, state: OptimizerState, lr,
-               beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
-    """One decoupled-weight-decay Adam update; returns (new_params, state)."""
-    t = state.step + 1
-    new = {}
-    for name, p in params.items():
+def adamw_step(weights, grads, state: OptimizerState, lr,
+               beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01) -> None:
+    """One decoupled-weight-decay Adam update of a weight tree's leaves and of
+    state's moments, in place; grads are keyed by the leaves' dotted names.
+    Every gradient is checked first, so a refused one changes nothing."""
+    for name, p in tree_leaves(weights):
         g = grads[name]
         if p.shape != g.shape:
             raise ValueError(f"{name}: grad shape {g.shape} != param shape {p.shape}")
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        v = state.v[name] = beta2 * state.v[name] + (1 - beta2) * (g * g)
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        new[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * p
+    t = state.step + 1
+    for name, p in tree_leaves(weights):
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * (g * g)
+        p[...] = (p - lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
+                  - lr * weight_decay * p)
     state.step = t
-    return new, state
 
 
 def clip_grad_norm(grads: dict, max_norm: float) -> dict:
@@ -210,8 +212,8 @@ def restore_checkpoint(path, table: dict, template_of):
 
     template_of(stored, tensors) takes the manifest fields table checks and
     returns the weight tree the archive must hold: every leaf, finite and of
-    the leaf's shape, plus its opt.m./opt.v. moments for every leaf or for
-    none. Returns (weights, opt, stored), opt an OptimizerState at step 0 or
+    the leaf's shape and dtype, plus its opt.m./opt.v. moments for every leaf
+    or for none. Returns (weights, opt, stored), opt an OptimizerState at step 0 or
     None. Every refusal is a CheckpointError naming path.
     """
     tensors, manifest = load_checkpoint(path)
@@ -219,8 +221,9 @@ def restore_checkpoint(path, table: dict, template_of):
         stored = fields.check_fields(manifest, table)
         template = template_of(stored, tensors)
         names = tree_flatten(template)
-        extra = [k for k in tensors
-                 if (k[len("opt.m."):] if k.startswith(("opt.m.", "opt.v.")) else k) not in names]
+        moments = OptimizerState(m=names, v=names)
+        leaves = names | tree_flatten(moments, "opt")
+        extra = [k for k in tensors if k not in leaves]
         if extra:
             raise ValueError(f"entries this model does not have: {', '.join(extra)}")
         for name, t in tensors.items():
@@ -228,14 +231,14 @@ def restore_checkpoint(path, table: dict, template_of):
                 check_tensor(t)
             except TensorFormatError as e:
                 raise ValueError(f"entry {name}: {e}") from None
+            if t.dtype != leaves[name].dtype:  # adamw_step keeps a leaf's dtype
+                raise ValueError(f"entry {name}: stored as {t.dtype}, not {leaves[name].dtype}")
         opt = None
         if any(k.startswith("opt.") for k in tensors):
-            missing = [f"opt.{moment}.{k}" for moment in "mv" for k in names
-                       if f"opt.{moment}.{k}" not in tensors]
+            missing = [k for k in leaves if k.startswith("opt.") and k not in tensors]
             if missing:
                 raise ValueError(f"no optimizer state for: {', '.join(missing)}")
-            opt = OptimizerState(m=tree_flatten(tree_unflatten(template, tensors, "opt.m")),
-                                 v=tree_flatten(tree_unflatten(template, tensors, "opt.v")))
+            opt = tree_unflatten(moments, tensors, "opt")
         return tree_unflatten(template, tensors), opt, stored
     # ValueError is a refused entry or field; the others are what a model
     # builder raises for stored config values of the wrong type or range
@@ -294,11 +297,13 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
     needs the iteration counter. val_batches_fn() yields evaluation batches.
     stop_after interrupts the run at that iteration (schedule and state keep
     cfg.total_iters semantics, so a later resume continues the same curve).
+    adamw_step steps model.weights in place; a fresh run first copies the caller's weights.
     """
     result = TrainResult()
     start = 0
     if resume_from is None:
-        opt = init_optimizer(segnet.flatten_weights(model))
+        model.weights = copy.deepcopy(model.weights)
+        opt = init_optimizer(model.weights)
     else:
         def template_of(stored, _tensors):
             check_resume(stored, model.cfg.to_dict(), cfg.to_dict())
@@ -311,7 +316,6 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
         start = opt.step = stored["iteration"]
         result.best_miou = float(stored["best_miou"])
         model.weights = weights
-    params = segnet.flatten_weights(model)
 
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
     result.last_path = os.path.join(cfg.checkpoint_dir, "last.ckpt")
@@ -330,9 +334,7 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
         }
 
     def dump(path, it):
-        named = dict(params)
-        named.update({f"opt.m.{k}": v for k, v in opt.m.items()})
-        named.update({f"opt.v.{k}": v for k, v in opt.v.items()})
+        named = tree_flatten(model.weights) | tree_flatten(opt, "opt")
         save_checkpoint(path, named, manifest_at(it))
 
     def log(rec):
@@ -355,8 +357,7 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
             if cfg.grad_clip is not None:
                 grads = clip_grad_norm(grads, cfg.grad_clip)
             lr = poly_lr(it, cfg)
-            params, opt = adamw_step(params, grads, opt, lr, weight_decay=cfg.weight_decay)
-            model.weights = segnet.unflatten_weights(model, params)
+            adamw_step(model.weights, grads, opt, lr, weight_decay=cfg.weight_decay)
             result.loss_curve.append(loss)
             log({"iter": it, "loss": loss, "lr": lr})
 

@@ -35,10 +35,10 @@ def retained_bytes():
 
 @pytest.fixture
 def peak_bytes():
-    """measure(fn, make_input) -> (output, bytes): fn(make_input())'s output
-    and the tracemalloc peak of the call."""
+    """measure(fn, make_input) -> (output, bytes, held): fn(make_input())'s
+    output, the tracemalloc peak of the call and the bytes it left allocated."""
     def measure(fn, make_input):
-        out, _held, peak = _traced(fn, make_input)
-        return out, peak
+        out, held, peak = _traced(fn, make_input)
+        return out, peak, held
 
     return measure

@@ -121,8 +121,8 @@ def test_sr_apply_is_forward_only(peak_bytes):
     m.conv3_w[:] = np.random.default_rng(13).standard_normal(m.conv3_w.shape) * 0.05
     ir = smooth_image(14, 30, 40)
     sr.sr_apply(m, ir, (60, 80))  # first-call caches stay out of the count
-    (y, _), train_peak = peak_bytes(lambda x: sr.sr_forward(m, x, 60, 80), ir.copy)
-    out, apply_peak = peak_bytes(lambda x: sr.sr_apply(m, x, (60, 80)), ir.copy)
+    (y, _), train_peak, _ = peak_bytes(lambda x: sr.sr_forward(m, x, 60, 80), ir.copy)
+    out, apply_peak, _ = peak_bytes(lambda x: sr.sr_apply(m, x, (60, 80)), ir.copy)
     assert np.array_equal(out, y)
     assert apply_peak < train_peak, (apply_peak, train_peak)
     assert apply_peak <= 1.1 * SR_APPLY_PEAK, apply_peak
@@ -138,7 +138,7 @@ def test_float32_sr_apply_stays_float32(peak_bytes):
     m.conv3_w[:] = np.random.default_rng(13).standard_normal(m.conv3_w.shape) * 0.05
     ir = smooth_image(14, 30, 40).astype(np.float32)
     sr.sr_apply(m, ir, (60, 80))  # first-call caches stay out of the count
-    out, peak = peak_bytes(lambda x: sr.sr_apply(m, x, (60, 80)), ir.copy)
+    out, peak, _ = peak_bytes(lambda x: sr.sr_apply(m, x, (60, 80)), ir.copy)
     assert out.dtype == np.float32
     assert peak <= 1.1 * SR_APPLY_PEAK_FLOAT32, peak
     assert m.conv1_w.dtype == np.float64  # the masters are not cast in place

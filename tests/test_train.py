@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -47,18 +48,38 @@ def test_adamw_hand_step():
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([1.0])}
     state = train.init_optimizer(params)
-    new, state = train.adamw_step(params, grads, state, lr=0.1, weight_decay=0.01)
-    assert abs(new["w"][0] - 0.899) < 1e-6
+    train.adamw_step(params, grads, state, lr=0.1, weight_decay=0.01)
+    assert abs(params["w"][0] - 0.899) < 1e-6
     assert state.step == 1
+
+    # three in-place steps on two leaves give the out-of-place update's bits
+    rng = np.random.default_rng(4)
+    params = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)}
+    ref = {k: p.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    state = train.init_optimizer(params)
+    lr, wd = 0.05, 0.1
+    for t in range(1, 4):
+        grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
+        train.adamw_step(params, grads, state, lr, weight_decay=wd)
+        for k, g in grads.items():
+            m[k] = 0.9 * m[k] + (1 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1 - 0.999) * (g * g)
+            m_hat = m[k] / (1 - 0.9 ** t)
+            v_hat = v[k] / (1 - 0.999 ** t)
+            ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + 1e-8) - lr * wd * ref[k]
+        for k in ref:
+            assert params[k].tobytes() == ref[k].tobytes(), (t, k)
+            assert state.m[k].tobytes() == m[k].tobytes() and state.v[k].tobytes() == v[k].tobytes()
 
 
 def test_adamw_pure_decay_with_zero_grads():
     params = {"w": np.array([2.0])}
     state = train.init_optimizer(params)
-    p = params
     for _ in range(3):
-        p, state = train.adamw_step(p, {"w": np.zeros(1)}, state, lr=0.1, weight_decay=0.01)
-    assert abs(p["w"][0] - 2.0 * (1 - 0.1 * 0.01) ** 3) < 1e-12
+        train.adamw_step(params, {"w": np.zeros(1)}, state, lr=0.1, weight_decay=0.01)
+    assert abs(params["w"][0] - 2.0 * (1 - 0.1 * 0.01) ** 3) < 1e-12
 
 
 def test_adamw_bias_correction_first_step():
@@ -74,6 +95,39 @@ def test_adamw_nonfinite_grad_names_param():
     state = train.init_optimizer(params)
     with pytest.raises(FloatingPointError, match="layer.weight"):
         train.adamw_step(params, {"layer.weight": np.array([1.0, np.nan])}, state, lr=0.1)
+
+
+@pytest.mark.parametrize("bad, error", [(np.array([1.0, np.nan]), FloatingPointError),
+                                        (np.ones(3), ValueError)], ids=["nan", "shape"])
+def test_adamw_refused_gradient_changes_nothing(bad, error):
+    params = {"a": np.array([1.0, -2.0]), "b": np.array([0.5, 3.0])}
+    state = train.init_optimizer(params)
+    train.adamw_step(params, {"a": np.array([0.3, 0.1]), "b": np.array([-0.2, 0.4])}, state, lr=0.1)
+    before = copy.deepcopy((params, state))
+    # the second leaf's gradient is refused after the first leaf's was accepted
+    with pytest.raises(error, match="'b'|^b:"):
+        train.adamw_step(params, {"a": np.array([1.0, 1.0]), "b": bad}, state, lr=0.1)
+    for now, then in ((params, before[0]), (state.m, before[1].m), (state.v, before[1].v)):
+        assert all(now[k].tobytes() == then[k].tobytes() for k in then)
+    assert state.step == before[1].step == 1
+
+
+def test_adamw_steps_without_a_copy_of_the_weights(peak_bytes):
+    # measured at the default config, whose largest leaf is 0.59 MB: in place,
+    # a step peaks at 1.77 MB and keeps under 1 kB; an out-of-place step that
+    # returns new weights and moments peaked at 9.88 MB and kept 9.00 MB
+    model = segnet.init_model(segnet.ModelConfig(), np.random.default_rng(0))
+    leaves = tree_flatten(model.weights)
+    largest = max(a.nbytes for a in leaves.values())
+    rng = np.random.default_rng(1)
+    grads = {k: rng.standard_normal(a.shape) for k, a in leaves.items()}
+    state = train.init_optimizer(model.weights)
+    # first-call caches stay out of the count
+    train.adamw_step(model.weights, grads, state, lr=1e-3)
+    _, peak, held = peak_bytes(lambda g: train.adamw_step(model.weights, g, state, lr=1e-3),
+                               lambda: grads)
+    assert peak < 5 * largest, (peak, largest)
+    assert held < largest // 100, held
 
 
 def test_train_config_defaults_and_validation():
@@ -192,6 +246,20 @@ def test_train_deterministic_bitwise(tmp_path):
         res = train.train(model, tsrc, tcfg, val_batches_fn=vsrc.eval_batches)
         curves.append(res.loss_curve)
     assert curves[0] == curves[1]
+
+
+def test_train_leaves_the_callers_weights_alone(tmp_path):
+    tcfg, tsrc, vsrc = _toy_setup(tmp_path)
+    model = segnet.init_model(CFG3, data.named_rng(0, "init"))
+    caller = tree_flatten(model.weights)
+    snapshot = {k: a.copy() for k, a in caller.items()}
+    res = train.train(model, tsrc, tcfg, val_batches_fn=vsrc.eval_batches, stop_after=2)
+    assert all(caller[k].tobytes() == snapshot[k].tobytes() for k in snapshot)
+    tensors, _ = train.load_checkpoint(res.last_path)
+    trained = tree_flatten(model.weights)
+    assert set(trained) == {k for k in tensors if not k.startswith("opt.")}
+    assert all(trained[k].tobytes() == tensors[k].tobytes() for k in trained)
+    assert not all(trained[k].tobytes() == snapshot[k].tobytes() for k in snapshot)
 
 
 def test_train_resume_continues_curve(tmp_path):
@@ -355,6 +423,11 @@ _BAD_ARCHIVES = [
     ("misshapen-entry", "sr", _with_entry("conv1_b", np.zeros(1)), ["conv1_b", "(1,)"]),
     ("misshapen-moment", "resume", _with_entry("opt.m.decoder.fuse.b", np.zeros(1)),
      ["opt.m.decoder.fuse.b"]),
+    # adamw_step updates a leaf in place, so a stored float32 moment would stay float32
+    ("float32-moment", "resume", _with_entry("opt.m.decoder.fuse.b", np.zeros(4, np.float32)),
+     ["opt.m.decoder.fuse.b", "float32"]),
+    ("float32-entry", "sr", _with_entry("conv1_b", np.zeros(4, np.float32)),
+     ["conv1_b", "float32"]),
     ("partial-moments", "resume", _without("opt.v.decoder.classifier.b"),
      ["opt.v.decoder.classifier.b"]),
     ("resume-without-moments", "resume", _without("opt."), ["optimizer state"]),
@@ -417,14 +490,12 @@ def test_single_step_descends_for_small_lr():
         model = segnet.init_model(CFG3, np.random.default_rng(200 + trial))
         x = rng.standard_normal((1, 3, 24, 24)) * 0.4
         target = rng.integers(0, 2, (1, 24, 24))
-        params = segnet.flatten_weights(model)
         logits, vjp = segnet.model_forward(x, model)
         loss0, vjp_loss = train.cross_entropy(logits, target)
         _, gtree = vjp(vjp_loss(1.0)[0])
         grads = tree_flatten(gtree)
-        state = train.init_optimizer(params)
-        new_params, _ = train.adamw_step(params, grads, state, lr=1e-6)
-        model.weights = segnet.unflatten_weights(model, new_params)
+        state = train.init_optimizer(model.weights)
+        train.adamw_step(model.weights, grads, state, lr=1e-6)
         loss1, _ = train.cross_entropy(segnet.model_forward(x, model)[0], target)
         if not loss1 < loss0:
             failures += 1
