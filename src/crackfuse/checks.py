@@ -33,6 +33,11 @@ def suite():
         [rng.standard_normal((1, 3, 5, 4)), rng.standard_normal((3, 3, 3))])
     add("conv2d", ops.conv2d,
         [rng.standard_normal((1, 2, 5, 5)), rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)])
+    # 2 -> 3 above stacks its taps into one GEMM in y and dx; 8 -> 8 runs one
+    # per tap. It draws from its own generator, so the entries after it keep their inputs
+    wide = np.random.default_rng(29)
+    add("conv2d_wide", ops.conv2d,
+        [wide.standard_normal((1, 8, 4, 4)), wide.standard_normal((8, 8, 3, 3)), wide.standard_normal(8)])
     add("resize_bicubic", lambda a: ops.resize_bicubic(a, 9, 7), [rng.standard_normal((2, 5, 4))])
     add("resize_bilinear", lambda a: ops.resize_bilinear(a, 3, 9), [rng.standard_normal((2, 5, 4))])
     add("adaptive_avg_pool2d", lambda a: ops.adaptive_avg_pool2d(a, 3, 3),

@@ -18,6 +18,14 @@ work arrays included, so float32 in gives float32 out. The resamplers take
 an integer array as float64; the convs take float batches only. as_float is
 the one dtype decision of both stages' entries: float32 stays float32, and
 anything else becomes float64.
+
+conv2d's output and its dx are each a sum over kernel taps of a matrix times
+a shifted slice of padded rows (_tap_sums). A fixed shape rule picks how:
+when the contracted side (Cin for the output, Cout for dx) has fewer than
+_NARROW = 8 channels and the kernel more than one tap, the taps' slices are
+stacked into one column for a single GEMM; otherwise each tap runs its own
+GEMM, accumulated in tap order. At the default configs only Stage 1's
+3-channel convs stack; every Stage-2 conv runs per tap.
 """
 from __future__ import annotations
 
@@ -166,6 +174,46 @@ def _padded_rows(x, c, kh, kw, op):
     return xp.reshape(bsz, c, -1), wp, taps, crop, stage
 
 
+# A contracted side narrower than this makes each tap's GEMM too thin to run
+# fast, so _tap_sums stacks the taps into one GEMM instead.
+_NARROW = 8
+
+
+def _tap_sums(mats, f, offs, h, wp, rows):
+    """The sum over a conv's taps k of mats[k] @ f[:, :, s + offs[k] : s + offs[k] + r*wp],
+    for f [B, C, Hp*Wp] from _padded_rows and mats [taps, N, C], in blocks of
+    at most rows of the h output rows. Yields (i, r, a) per block of r rows
+    from row i, with a [B, N, r*wp] on _padded_rows' grid, reused by the next
+    block. Per tap, one GEMM each, added up in tap order. When C < _NARROW
+    and there is more than one tap, stacked: the taps' slices are copied into
+    one [B, taps*C, r*wp] column for a single GEMM with mats as [N, taps*C]."""
+    nt, n, c = mats.shape
+    bsz = f.shape[0]
+    stacked = c < _NARROW and nt > 1
+    acc = np.empty((bsz, n, rows * wp), dtype=f.dtype)
+    if stacked:
+        wcol = mats.transpose(1, 0, 2).reshape(n, nt * c)
+        col = np.empty((bsz, nt, c, rows * wp), dtype=f.dtype)
+        cols = col.reshape(bsz, nt * c, rows * wp)
+    else:
+        tmp = np.empty_like(acc)
+    for i in range(0, h, rows):
+        r = min(rows, h - i)
+        s, m = i * wp, r * wp
+        a = acc[:, :, :m]
+        if stacked:
+            for k, off in enumerate(offs):
+                col[:, k, :, :m] = f[:, :, s + off : s + off + m]
+            np.matmul(wcol, cols[:, :, :m], out=a)
+        else:
+            t = tmp[:, :, :m]
+            for k, off in enumerate(offs):
+                np.matmul(mats[k], f[:, :, s + off : s + off + m], out=t if k else a)
+                if k:
+                    a += t
+        yield i, r, a
+
+
 def depthwise_conv2d(x, k):
     """Per-channel 2d convolution, odd kernel, zero same-padding.
 
@@ -201,43 +249,46 @@ _BLOCK_BYTES = 1 << 19
 def conv2d(x, w, b):
     """Dense 2d convolution, odd kernel, zero same-padding.
 
-    x: [B,Cin,H,W]; w: [Cout,Cin,kh,kw]; b: [Cout]. One GEMM per kernel tap
-    on _padded_rows, in row blocks sized to stay in cache: per tap,
-    y += w[:, :, u, v] @ slice, dw += dy @ slice.T and dx[slice] += w.T @ dy.
+    x: [B,Cin,H,W]; w: [Cout,Cin,kh,kw]; b: [Cout]. The output and dx are
+    each a _tap_sums on _padded_rows, in row blocks of Cout-wide rows sized
+    to stay in cache: y sums w[:, :, u, v] @ slice over the taps of x, and dx
+    sums w[:, :, u, v].T @ slice over the mirrored taps of dy. A side of
+    fewer than _NARROW channels is contracted in one GEMM over all taps
+    (Cin < 8 for y, Cout < 8 for dx), a wider one in one GEMM per tap. dw
+    takes one GEMM per tap and block, dw[:, :, u, v] += dy @ slice.T.
     """
-    co, ci = w.shape[:2]
-    xf, wp, taps, crop, stage = _padded_rows(x, *w.shape[1:], "conv2d")
+    co, ci, kh, kw = w.shape
+    if np.shape(b) != (co,):
+        raise ValueError(f"conv2d: bias shape {np.shape(b)} does not match ({co},), "
+                         f"the output channels of weight shape {w.shape}")
+    xf, wp, taps, crop, _ = _padded_rows(x, ci, kh, kw, "conv2d")
     bsz, _, h, wd = x.shape
     # [kh, kw, Cout, Cin]: each tap's matrix is contiguous, so BLAS takes it as is
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     rows = max(1, min(h, _BLOCK_BYTES // max(1, xf.itemsize * bsz * co * wp)))
-    blocks = [(i, min(rows, h - i)) for i in range(0, h, rows)]
+    offs = [off for _u, _v, off in taps]
 
     y = np.empty((bsz, co, h, wd), dtype=xf.dtype)
-    acc = np.empty((bsz, co, rows * wp), dtype=xf.dtype)
-    tmp = np.empty_like(acc)
-    for i, r in blocks:
-        s, m = i * wp, r * wp
-        a, t = acc[:, :, :m], tmp[:, :, :m]
-        for k, (u, v, off) in enumerate(taps):
-            np.matmul(wt[u, v], xf[:, :, s + off : s + off + m], out=t if k else a)
-            if k:
-                a += t
+    for i, r, a in _tap_sums(wt.reshape(-1, co, ci), xf, offs, h, wp, rows):
         np.add(crop(a, r), b[None, :, None, None], out=y[:, :, i : i + r])
 
     def vjp(dy):
         db = dy.sum(axis=(0, 2, 3))
+        # dy padded like x: dx's tap (u, v) reads it at the mirrored tap's
+        # offset, and from the centre tap's offset on it is dy on the output
+        # grid with zero wrap columns, the rows dw contracts with x's slices
+        dyf = _padded_rows(dy.astype(xf.dtype, copy=False), co, kh, kw, "conv2d")[0]
+        centre = offs[len(offs) // 2]
         dwt = np.zeros_like(wt)
-        dxf = np.zeros_like(xf)
-        dyb = np.zeros((bsz, co, rows * wp), dtype=xf.dtype)
-        tmp = np.empty((bsz, ci, rows * wp), dtype=xf.dtype)
-        for i, r in blocks:
+        dx = np.empty((bsz, ci, h, wd), dtype=xf.dtype)
+        wtt = wt.transpose(0, 1, 3, 2).reshape(-1, ci, co)
+        for i, r, a in _tap_sums(wtt, dyf, offs[::-1], h, wp, rows):
+            dx[:, :, i : i + r] = crop(a, r)
             s, m = i * wp, r * wp
-            g, t = stage(dyb, dy[:, :, i : i + r]), tmp[:, :, :m]
+            g = dyf[:, :, centre + s : centre + s + m]
             for u, v, off in taps:
                 dwt[u, v] += (g @ xf[:, :, s + off : s + off + m].transpose(0, 2, 1)).sum(axis=0)
-                dxf[:, :, s + off : s + off + m] += np.matmul(wt[u, v].T, g, out=t)
-        return crop(dxf, off=taps[len(taps) // 2][2]), dwt.transpose(2, 3, 0, 1).copy(), db
+        return dx, dwt.transpose(2, 3, 0, 1).copy(), db
 
     return y, vjp
 

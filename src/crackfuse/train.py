@@ -298,6 +298,8 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
     stop_after interrupts the run at that iteration (schedule and state keep
     cfg.total_iters semantics, so a later resume continues the same curve).
     adamw_step steps model.weights in place; a fresh run first copies the caller's weights.
+    A non-finite loss, or a gradient adamw_step refuses, saves the state the
+    failed iteration started from as last.ckpt.aborted and raises TrainingDiverged.
     """
     result = TrainResult()
     start = 0
@@ -337,6 +339,12 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
         named = tree_flatten(model.weights) | tree_flatten(opt, "opt")
         save_checkpoint(path, named, manifest_at(it))
 
+    def abort(it, cause, err=None):
+        """Snapshot the state before iteration it as last.ckpt.aborted and raise."""
+        dump(result.last_path + ".aborted", it)
+        raise TrainingDiverged(
+            f"{cause} at iteration {it}; last good checkpoint kept at {result.last_path}") from err
+
     def log(rec):
         if log_f:
             log_f.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -349,15 +357,16 @@ def train(model, batch_source, cfg: TrainConfig, val_batches_fn=None,
             logits, vjp_model = segnet.model_forward(inputs, model)
             loss, vjp_loss = cross_entropy(logits, targets)
             if not math.isfinite(loss):
-                dump(result.last_path + ".aborted", it)
-                raise TrainingDiverged(
-                    f"non-finite loss at iteration {it}; last good checkpoint kept at {result.last_path}")
+                abort(it, "non-finite loss")
             dlogits = vjp_loss(1.0)[0]
             _dimg, grads = vjp_model(dlogits)
             if cfg.grad_clip is not None:
                 grads = clip_grad_norm(grads, cfg.grad_clip)
             lr = poly_lr(it, cfg)
-            adamw_step(model.weights, grads, opt, lr, weight_decay=cfg.weight_decay)
+            try:
+                adamw_step(model.weights, grads, opt, lr, weight_decay=cfg.weight_decay)
+            except FloatingPointError as err:  # the step refused it and changed nothing
+                abort(it, str(err), err)
             result.loss_curve.append(loss)
             log({"iter": it, "loss": loss, "lr": lr})
 

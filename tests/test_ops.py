@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -125,11 +126,20 @@ def _conv2d_direct(x, w, b, dy):
     return y, dx, dw, dy.sum(axis=(0, 2, 3))
 
 
+# Cin and Cout both below ops._NARROW: y and dx each stack their taps into
+# one GEMM (a 1x1 kernel has one tap, one GEMM either way)
 _CONV_CASES = [(shape, kernel)
                for shape in [(1, 2, 4, 6), (3, 2, 5, 7), (3, 1, 6, 5)]
                for kernel in [(1, 1), (3, 3), (5, 5), (1, 3), (3, 1), (5, 3)]]
 # images smaller than their kernel, one and three to a batch
 _CONV_CASES += [((1, 2, 2, 2), (5, 5)), ((3, 1, 2, 2), (5, 5))]
+# Cout by Cin for the cases below; the rest have Cout = 3. A side of at least
+# ops._NARROW channels runs one GEMM per tap: both sides at 8 -> 10, y at
+# 9 -> 3 and dx at 3 -> 8, where the other side stacks its taps
+_COUT = {8: 10, 9: 3, 3: 8}
+_CONV_CASES += [(shape, kernel)
+                for shape in [(2, 8, 5, 7), (1, 9, 4, 6), (2, 3, 5, 4)]
+                for kernel in [(1, 1), (3, 3), (5, 3)]]
 
 
 @pytest.mark.parametrize("rows", [None, 1, 2])
@@ -137,18 +147,20 @@ _CONV_CASES += [((1, 2, 2, 2), (5, 5)), ((3, 1, 2, 2), (5, 5))]
 def test_conv2d_matches_direct_sum(shape, kernel, rows, monkeypatch):
     """Wrap columns and batch boundaries, with the output taken in one row
     block, in blocks of one row, and in blocks of two rows (the last block
-    of an odd height is partial). depthwise_conv2d is checked as the conv2d
-    whose weight is diagonal, w[c, c] = k[c], with no bias: its dk is that
-    weight gradient's diagonal."""
+    of an odd height is partial). conv2d sizes y's, dx's and dw's blocks
+    alike, at _BLOCK_BYTES per B * Cout * Wp rows of the input's itemsize.
+    depthwise_conv2d is checked as the conv2d whose weight is diagonal,
+    w[c, c] = k[c], with no bias: its dk is that weight gradient's diagonal."""
+    c = shape[-3]
+    cout = _COUT.get(c, 3)
     if rows is not None:
         wp = shape[-1] + 2 * (kernel[1] // 2)
-        monkeypatch.setattr(ops, "_BLOCK_BYTES", rows * 8 * shape[0] * 3 * wp)
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", rows * 8 * shape[0] * cout * wp)
     rng = np.random.default_rng(sum(shape) * 10 + kernel[0] * 3 + kernel[1])
     x = rng.standard_normal(shape)
     x0 = x.copy()
-    c = shape[-3]
-    w = rng.standard_normal((3, c) + kernel)
-    b = rng.standard_normal(3)
+    w = rng.standard_normal((cout, c) + kernel)
+    b = rng.standard_normal(cout)
     y, vjp = ops.conv2d(x, w, b)
     assert y.flags.c_contiguous
     dy = rng.standard_normal(y.shape)
@@ -165,6 +177,32 @@ def test_conv2d_matches_direct_sum(shape, kernel, rows, monkeypatch):
             assert g.shape == r.shape
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(x, x0)
+
+
+@pytest.mark.parametrize("cin,cout", [(3, 32), (32, 3)], ids=["stacked-y", "stacked-dx"])
+def test_conv2d_float32_stacked_taps_near_float64(cin, cout):
+    """Stage 1's narrow convs in float32: SR conv1 (3 -> 32) stacks its taps
+    in y, conv3 (32 -> 3) in dx. Each output is within 1e-6 of its largest
+    entry of the float64 direct sum over the same float32 values: about 8
+    float32 epsilons for sums of up to 288 products; measured, at most 2.0e-7."""
+    rng = np.random.default_rng(cin + cout)
+    x, w, b = (rng.standard_normal(s).astype(np.float32)
+               for s in [(2, cin, 7, 9), (cout, cin, 3, 3), (cout,)])
+    y, vjp = ops.conv2d(x, w, b)
+    dy = rng.standard_normal(y.shape).astype(np.float32)
+    got = (y,) + vjp(dy)
+    want = _conv2d_direct(*(a.astype(np.float64) for a in (x, w, b, dy)))
+    for g, r in zip(got, want, strict=True):
+        assert g.dtype == np.float32 and g.shape == r.shape
+        assert np.abs(g - r).max() <= 1e-6 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("bias", [(1,), (3, 1), (), (4,)])
+def test_conv2d_refuses_a_bias_not_one_per_output_channel(bias):
+    # a (1,) bias used to broadcast to every output channel
+    with pytest.raises(ValueError, match=re.escape(f"bias shape {bias}")) as err:
+        ops.conv2d(np.ones((1, 2, 5, 5)), np.ones((3, 2, 3, 3)), np.full(bias, 0.5))
+    assert "(3,)" in str(err.value) and "(3, 2, 3, 3)" in str(err.value)
 
 
 def test_resize_identity_and_constant():

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import re
 import warnings
 import zipfile
 
@@ -481,6 +483,52 @@ def test_training_aborts_on_nonfinite_loss(tmp_path):
     model.weights.decoder.classifier.w[:] = np.nan  # force a non-finite loss
     with pytest.raises(train.TrainingDiverged, match="non-finite"):
         train.train(model, tsrc, tcfg, val_batches_fn=vsrc.eval_batches)
+
+
+def _failing_at(it, fn, make_bad):
+    """fn, but its call number it (from 0) passes its (value, vjp) through make_bad."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        out = fn(*args)
+        return make_bad(*out) if len(calls) == it + 1 else out
+    return wrapped
+
+
+def _nan_loss(_loss, vjp):
+    return math.nan, vjp
+
+
+def _nan_grad(logits, vjp):
+    def bad_vjp(dlogits):
+        dimg, grads = vjp(dlogits)
+        return dimg, {**grads, "decoder.classifier.b": np.full_like(grads["decoder.classifier.b"], np.nan)}
+    return logits, bad_vjp
+
+
+@pytest.mark.parametrize("module, name, make_bad, cause", [
+    (train, "cross_entropy", _nan_loss, "non-finite loss"),
+    (segnet, "model_forward", _nan_grad, "non-finite gradient for parameter 'decoder.classifier.b'"),
+], ids=["loss", "gradient"])
+def test_training_abort_snapshots_the_state_before_the_failed_iteration(
+        tmp_path, monkeypatch, module, name, make_bad, cause):
+    # iteration 2 fails; last.ckpt holds the state after iterations 0 and 1
+    tcfg, tsrc, _ = _toy_setup(tmp_path, total=4, eval_interval=2)
+    monkeypatch.setattr(module, name, _failing_at(2, getattr(module, name), make_bad))
+    model = segnet.init_model(CFG3, data.named_rng(0, "init"))
+    with pytest.raises(train.TrainingDiverged, match=re.escape(f"{cause} at iteration 2")) as err:
+        train.train(model, tsrc, tcfg)
+    assert isinstance(err.value.__cause__, FloatingPointError) == (name == "model_forward")
+    last = os.path.join(tcfg.checkpoint_dir, "last.ckpt")
+    tensors, manifest = train.load_checkpoint(last + ".aborted")
+    assert manifest["iteration"] == 2
+    good, _ = train.load_checkpoint(last)
+    assert tensors.keys() == good.keys()
+    for k, t in tensors.items():
+        np.testing.assert_array_equal(t, good[k], err_msg=k)
+    # the snapshot resumes like any checkpoint
+    assert len(train.train(model, tsrc, tcfg, resume_from=last + ".aborted").loss_curve) == 2
 
 
 def test_single_step_descends_for_small_lr():
