@@ -35,7 +35,12 @@ class GradCheckReport:
 
     def __str__(self):
         flag = "PASS" if self.passed else "FAIL"
-        return f"[{flag}] {self.op_name}: max rel err {self.max_rel_err:.3e} (tol {self.tol:.1e})"
+        line = f"[{flag}] {self.op_name}: max rel err {self.max_rel_err:.3e} (tol {self.tol:.1e})"
+        if self.message:
+            return f"{line}: {self.message}"
+        if not self.passed and self.inputs:
+            return f"{line}, worst at {max(self.inputs, key=lambda c: c.max_rel_err).name}"
+        return line
 
 
 def _as_tree(out):

@@ -14,18 +14,19 @@ replays the kept vjps last first into one flat gradient dict by dotted name.
 Layout conventions: feature axes last for pointwise/affine ops; the convs
 take image batches ``[B, C, H, W]`` only, and the resamplers act on the last
 two axes of any array. Every operation computes in its input's float dtype,
-work arrays included, so float32 in gives float32 out. The resamplers take
-an integer array as float64; the convs take float batches only. as_float is
-the one dtype decision of both stages' entries: float32 stays float32, and
-anything else becomes float64.
+work arrays included, so float32 in gives float32 out; the convs take float
+batches only. as_float is the one dtype decision of both stages' entries and
+the resamplers: float32 stays float32, anything else becomes float64.
 
-conv2d's output and its dx are each a sum over kernel taps of a matrix times
-a shifted slice of padded rows (_tap_sums). A fixed shape rule picks how:
-when the contracted side (Cin for the output, Cout for dx) has fewer than
-_NARROW = 8 channels and the kernel more than one tap, the taps' slices are
-stacked into one column for a single GEMM; otherwise each tap runs its own
-GEMM, accumulated in tap order. At the default configs only Stage 1's
-3-channel convs stack; every Stage-2 conv runs per tap.
+Both convolutions' dx is their forward's tap sum over dy, padded like x by
+_padded_rows, at the mirrored taps' offsets. conv2d's output and dx are
+each a sum over taps of a matrix times a shifted slice of padded rows
+(_tap_sums). A fixed shape rule picks how: when the contracted side (Cin
+for the output, Cout for dx) has fewer than _NARROW = 8 channels and the
+kernel more than one tap, the taps' slices are stacked into one column for
+a single GEMM; otherwise each tap runs its own GEMM, accumulated in tap
+order. At the default configs only Stage 1's 3-channel convs stack; every
+Stage-2 conv runs per tap.
 """
 from __future__ import annotations
 
@@ -147,13 +148,13 @@ def _linear_grads(x, w, dy):
 def _padded_rows(x, c, kh, kw, op):
     """The same-padding layout of both convolutions: x [B, C, H, W],
     zero-padded for a kh x kw kernel with odd extents plus one zero row, as
-    flat rows xf [B, C, Hp*Wp], where tap (u, v) of output pixel (i, j) reads
-    i*Wp + j + off with off = u*Wp + v: one contiguous slice per tap and block
-    of output rows. Sums over taps live on [r, Wp] grids whose last 2*pw
-    columns wrap into the next row. Returns xf, Wp, the taps as (u, v, off),
-    crop(f, r=H, off=0), a view of the [..., r, W] image in the flat rows of f
-    from off on, wrap columns dropped (at the centre tap's off, padding too),
-    and stage(buf, d), which writes d there in a zeroed buf and returns those rows."""
+    flat rows xf [B, C, Hp*Wp], where tap t = u*kw + v of output pixel (i, j)
+    reads i*Wp + j + offs[t] with offs[t] = u*Wp + v: one contiguous slice per
+    tap and block of output rows. Sums over taps live on [r, Wp] grids whose
+    last 2*pw columns wrap into the next row. Returns xf, Wp, offs and
+    crop(f, r=H), a view of the [..., r, W] image in the flat rows of f,
+    wrap columns dropped. Tap t mirrors tap len(offs) - 1 - t; from the
+    centre tap's offset on, xf is x on the output grid, wrap columns zero."""
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"{op}: kernel extents must be odd, got {kh}x{kw}")
     if x.shape[1] != c:
@@ -162,16 +163,12 @@ def _padded_rows(x, c, kh, kw, op):
     ph, pw, wp = kh // 2, kw // 2, wd + kw - 1
     xp = np.zeros((bsz, c, h + kh - 1 + (kw > 1), wp), dtype=x.dtype)
     xp[:, :, ph : ph + h, pw : pw + wd] = x
-    taps = [(u, v, u * wp + v) for u in range(kh) for v in range(kw)]
+    offs = [u * wp + v for u in range(kh) for v in range(kw)]
 
-    def crop(f, r=h, off=0):
-        return f[..., off : off + r * wp].reshape(f.shape[:-1] + (r, wp))[..., :wd]
+    def crop(f, r=h):
+        return f[..., : r * wp].reshape(f.shape[:-1] + (r, wp))[..., :wd]
 
-    def stage(buf, d):
-        crop(buf, d.shape[-2])[...] = d
-        return buf[..., : d.shape[-2] * wp]
-
-    return xp.reshape(bsz, c, -1), wp, taps, crop, stage
+    return xp.reshape(bsz, c, -1), wp, offs, crop
 
 
 # A contracted side narrower than this makes each tap's GEMM too thin to run
@@ -218,24 +215,29 @@ def depthwise_conv2d(x, k):
     """Per-channel 2d convolution, odd kernel, zero same-padding.
 
     x: [B,C,H,W]; k: [C,kh,kw]. Channel i of the output depends only on
-    channel i of the input. One multiply-add per tap on _padded_rows.
+    channel i of the input. y and dx are one multiply-add per tap on
+    _padded_rows; dk[:, u, v] contracts padded dy's rows with the tap's slice.
     """
-    xf, wp, taps, crop, stage = _padded_rows(x, *k.shape, "depthwise_conv2d")
+    xf, wp, offs, crop = _padded_rows(x, *k.shape, "depthwise_conv2d")
     m = x.shape[2] * wp
-    y = np.zeros(xf.shape[:2] + (m,), dtype=xf.dtype)
-    for u, v, off in taps:
-        y += k[:, u, v, None] * xf[..., off : off + m]
+    kt = k.reshape(len(k), -1)
+
+    def tap_sum(f, offs):
+        s = np.zeros(f.shape[:2] + (m,), dtype=f.dtype)
+        for t, off in enumerate(offs):
+            s += kt[:, t, None] * f[..., off : off + m]
+        return crop(s)
 
     def vjp(dy):
-        g = stage(np.zeros_like(y), dy)
-        dk = np.empty_like(k)
-        dxf = np.zeros_like(xf)
-        for u, v, off in taps:
-            dk[:, u, v] = np.einsum("bcm,bcm->c", g, xf[..., off : off + m])
-            dxf[..., off : off + m] += k[:, u, v, None] * g
-        return crop(dxf, off=taps[len(taps) // 2][2]), dk
+        dyf = _padded_rows(dy.astype(xf.dtype, copy=False), *k.shape, "depthwise_conv2d")[0]
+        centre = offs[len(offs) // 2]
+        g = dyf[..., centre : centre + m]
+        dk = np.empty_like(kt)
+        for t, off in enumerate(offs):
+            dk[:, t] = np.einsum("bcm,bcm->c", g, xf[..., off : off + m])
+        return tap_sum(dyf, offs[::-1]), dk.reshape(k.shape)
 
-    return crop(y), vjp
+    return tap_sum(xf, offs), vjp
 
 
 # Bytes of one working block: a conv2d row block's accumulator, or one
@@ -261,34 +263,29 @@ def conv2d(x, w, b):
     if np.shape(b) != (co,):
         raise ValueError(f"conv2d: bias shape {np.shape(b)} does not match ({co},), "
                          f"the output channels of weight shape {w.shape}")
-    xf, wp, taps, crop, _ = _padded_rows(x, ci, kh, kw, "conv2d")
+    xf, wp, offs, crop = _padded_rows(x, ci, kh, kw, "conv2d")
     bsz, _, h, wd = x.shape
-    # [kh, kw, Cout, Cin]: each tap's matrix is contiguous, so BLAS takes it as is
-    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    # [taps, Cout, Cin]: each tap's matrix is contiguous, so BLAS takes it as is
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(-1, co, ci)
     rows = max(1, min(h, _BLOCK_BYTES // max(1, xf.itemsize * bsz * co * wp)))
-    offs = [off for _u, _v, off in taps]
 
     y = np.empty((bsz, co, h, wd), dtype=xf.dtype)
-    for i, r, a in _tap_sums(wt.reshape(-1, co, ci), xf, offs, h, wp, rows):
+    for i, r, a in _tap_sums(wt, xf, offs, h, wp, rows):
         np.add(crop(a, r), b[None, :, None, None], out=y[:, :, i : i + r])
 
     def vjp(dy):
         db = dy.sum(axis=(0, 2, 3))
-        # dy padded like x: dx's tap (u, v) reads it at the mirrored tap's
-        # offset, and from the centre tap's offset on it is dy on the output
-        # grid with zero wrap columns, the rows dw contracts with x's slices
         dyf = _padded_rows(dy.astype(xf.dtype, copy=False), co, kh, kw, "conv2d")[0]
         centre = offs[len(offs) // 2]
         dwt = np.zeros_like(wt)
         dx = np.empty((bsz, ci, h, wd), dtype=xf.dtype)
-        wtt = wt.transpose(0, 1, 3, 2).reshape(-1, ci, co)
-        for i, r, a in _tap_sums(wtt, dyf, offs[::-1], h, wp, rows):
+        for i, r, a in _tap_sums(wt.transpose(0, 2, 1), dyf, offs[::-1], h, wp, rows):
             dx[:, :, i : i + r] = crop(a, r)
             s, m = i * wp, r * wp
             g = dyf[:, :, centre + s : centre + s + m]
-            for u, v, off in taps:
-                dwt[u, v] += (g @ xf[:, :, s + off : s + off + m].transpose(0, 2, 1)).sum(axis=0)
-        return dx, dwt.transpose(2, 3, 0, 1).copy(), db
+            for t, off in enumerate(offs):
+                dwt[t] += (g @ xf[:, :, s + off : s + off + m].transpose(0, 2, 1)).sum(axis=0)
+        return dx, dwt.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1).copy(), db
 
     return y, vjp
 
@@ -363,12 +360,12 @@ def _resample_matrix(n_in: int, n_out: int, mode: str):
 def _separable(x, out_h, out_w, mode):
     if out_h < 1 or out_w < 1:
         raise ValueError(f"target extents must be >= 1, got {out_h}x{out_w}")
+    x = as_float(x)
     if x.ndim < 2:
         raise ValueError(f"expected at least a [H,W] array, got shape {x.shape}")
     h, w = x.shape[-2:]
-    dt = x.dtype if x.dtype.kind == "f" else np.float64  # integers resample in float64
-    mr = _resample_matrix(h, out_h, mode).astype(dt, copy=False)
-    mc = _resample_matrix(w, out_w, mode).astype(dt, copy=False)
+    mr = _resample_matrix(h, out_h, mode).astype(x.dtype, copy=False)
+    mc = _resample_matrix(w, out_w, mode).astype(x.dtype, copy=False)
     y = mr @ x @ mc.T
 
     def vjp(dy):

@@ -90,7 +90,7 @@ def degrade(img, factor):
     oh, ow = _scaled_extent(h, f), _scaled_extent(w, f)
     if oh < 8 or ow < 8:
         raise ValueError(f"degraded size {oh}x{ow} is too small to train on (min 8)")
-    return resize_bicubic(as_float(img), oh, ow)[0]
+    return resize_bicubic(img, oh, ow)[0]
 
 
 def _residual_net(m: SrModel, x, vjps=None):
@@ -109,7 +109,7 @@ def _reconstruct(m: SrModel, low, out_h, out_w, vjps=None):
     clamped to [0, 1], as (y, the clamp's vjp), in the image's dtype
     (as_float); the residual net runs it as a batch of one on the weights cast
     to that dtype and appends its steps' vjps to vjps when given a list."""
-    up = resize_bicubic(as_float(low), out_h, out_w)[0]
+    up = resize_bicubic(low, out_h, out_w)[0]
     return clamp01(up + _residual_net(tree_astype(m, up.dtype), up[None], vjps)[0])
 
 
@@ -142,7 +142,6 @@ def corpus_loss(model: SrModel, images, factor) -> float:
     """Mean reconstruction MSE over a corpus at the training scale."""
     total = 0.0
     for img in images:
-        img = as_float(img)
         low = degrade(img, factor) if Fraction(factor) > 1 else img
         rec = _reconstruct(model, low, img.shape[-2], img.shape[-1])[0]
         total += float(np.mean((rec - img) ** 2))
@@ -193,7 +192,6 @@ def evaluate_sr(model: SrModel, images, factor):
     reconstructing the original from its degraded copy."""
     rows = []
     for idx, img in enumerate(images):
-        img = as_float(img)
         h, w = img.shape[-2:]
         low = degrade(img, factor)
         up = np.clip(resize_bicubic(low, h, w)[0], 0.0, 1.0)

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import os
+import threading
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -142,14 +144,24 @@ class CheckpointError(ValueError):
     """Raised when a file does not decode as a checkpoint archive."""
 
 
+def _new_file(stem):
+    """(name, binary file) of a file made exclusively as stem.<n>.tmp, the
+    first n free, with a plain open's permission bits (mkstemp's are 0600)."""
+    for n in itertools.count():
+        try:
+            return f"{stem}.{n}.tmp", open(f"{stem}.{n}.tmp", "xb")
+        except FileExistsError:
+            pass
+
+
 def save_checkpoint(path, named_tensors: dict, manifest: dict) -> None:
-    """Write the archive to a temporary file beside path, flush and fsync it,
-    then rename it over path, so a crash mid-save leaves the previous
-    checkpoint whole."""
+    """Write the archive to a temporary file of its own beside path (_new_file),
+    flush and fsync it, then rename it over path, so a crash mid-save leaves
+    the previous checkpoint whole and two writers never share a file."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = f"{os.fspath(path)}.tmp"
+    tmp, f = _new_file(f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}")
     try:
-        with open(tmp, "wb") as f:
+        with f:
             with zipfile.ZipFile(f, "w", compression=zipfile.ZIP_STORED) as z:
                 info = zipfile.ZipInfo("manifest.json", date_time=_ZIP_STAMP)
                 z.writestr(info, json.dumps(manifest, sort_keys=True, indent=1))

@@ -179,6 +179,55 @@ def test_conv2d_matches_direct_sum(shape, kernel, rows, monkeypatch):
     np.testing.assert_array_equal(x, x0)
 
 
+def _depthwise_scatter_backward(x, k, dy):
+    """depthwise_conv2d's (dx, dk) as a scatter: dy is staged on the padded
+    row grid in a zeroed buffer, and each tap adds k times it into a
+    zero-filled padded dx at the tap's offset, in tap order; dk[:, u, v]
+    contracts the staged dy with the tap's slice of padded x."""
+    bsz, c, h, wd = x.shape
+    _, kh, kw = k.shape
+    ph, pw, wp = kh // 2, kw // 2, wd + kw - 1
+    xp = np.zeros((bsz, c, h + kh - 1 + (kw > 1), wp), dtype=x.dtype)
+    xp[:, :, ph : ph + h, pw : pw + wd] = x
+    xf = xp.reshape(bsz, c, -1)
+    m = h * wp
+    g = np.zeros((bsz, c, h, wp), dtype=x.dtype)
+    g[..., :wd] = dy
+    g = g.reshape(bsz, c, m)
+    dxf = np.zeros_like(xf)
+    dk = np.empty_like(k)
+    for u in range(kh):
+        for v in range(kw):
+            off = u * wp + v
+            dk[:, u, v] = np.einsum("bcm,bcm->c", g, xf[..., off : off + m])
+            dxf[..., off : off + m] += k[:, u, v, None] * g
+    centre = ph * wp + pw
+    return dxf[..., centre : centre + m].reshape(bsz, c, h, wp)[..., :wd], dk
+
+
+# train48's four encoder block shapes (8 x {16, 32, 64, 128} channels at 16,
+# 8, 4 and 2 pixels a side), then 5x3 and 1x1 kernels on odd widths
+_DEPTHWISE_CASES = [((8, 16, 16, 16), (3, 3)), ((8, 32, 8, 8), (3, 3)),
+                    ((8, 64, 4, 4), (3, 3)), ((8, 128, 2, 2), (3, 3)),
+                    ((2, 5, 7, 9), (5, 3)), ((3, 3, 6, 11), (5, 3)), ((2, 4, 5, 7), (1, 1))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,kernel", _DEPTHWISE_CASES)
+def test_depthwise_backward_matches_scatter_bitwise(shape, kernel, dtype):
+    """dx, the forward's tap sum over padded dy at the mirrored offsets, and
+    dk add the same products in the same order as the scatter, so both are
+    equal to it bit for bit."""
+    rng = np.random.default_rng(sum(shape) + 10 * kernel[0] + kernel[1])
+    x = rng.standard_normal(shape).astype(dtype)
+    k = rng.standard_normal((shape[1],) + kernel).astype(dtype)
+    dy = rng.standard_normal(shape).astype(dtype)
+    got = ops.depthwise_conv2d(x, k)[1](dy)
+    for g, want in zip(got, _depthwise_scatter_backward(x, k, dy), strict=True):
+        assert g.dtype == want.dtype and g.shape == want.shape
+        assert g.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("cin,cout", [(3, 32), (32, 3)], ids=["stacked-y", "stacked-dx"])
 def test_conv2d_float32_stacked_taps_near_float64(cin, cout):
     """Stage 1's narrow convs in float32: SR conv1 (3 -> 32) stacks its taps
@@ -273,6 +322,18 @@ def test_resamplers_take_integers_as_float64(op, extents):
     assert vjp(np.ones(extents))[0].dtype == np.float64
 
 
+@pytest.mark.parametrize("op", [ops.resize_bicubic, ops.resize_bilinear, ops.adaptive_avg_pool2d],
+                         ids=["bicubic", "bilinear", "pool"])
+def test_resamplers_take_float16_as_float64(op):
+    # as_float, the rule of every entry: only float32 keeps its dtype
+    img = np.random.default_rng(4).random((2, 5, 6)).astype(np.float16)
+    y, vjp = op(img, 3, 4)
+    want, _ = op(img.astype(np.float64), 3, 4)
+    assert y.dtype == np.float64
+    np.testing.assert_array_equal(y, want)
+    assert vjp(np.ones((2, 3, 4)))[0].dtype == np.float64
+
+
 def test_nearest_resize_binary_stays_binary():
     mask = (np.random.default_rng(7).random((9, 9)) < 0.3).astype(np.int64)
     out = ops.resize_nearest(mask, 5, 13)
@@ -353,6 +414,28 @@ def test_grad_check_reports_nonfinite():
     rep = grad_check(nan_op, [np.ones(3)], tol=1e-5, name="nan_op")
     assert not rep.passed
     assert "non-finite" in rep.message
+
+
+def test_grad_check_report_says_why_it_failed():
+    def one_grad(a, b):
+        return a * b, lambda dy: (dy * b,)
+
+    ones = np.ones(3)
+    rep = grad_check(one_grad, [ones, ones], tol=1e-5, name="one_grad")
+    assert str(rep) == ("[FAIL] one_grad: max rel err inf (tol 1.0e-05): "
+                        "vjp returned 1 gradients for 2 inputs")
+
+    # a numeric failure names its worst leaf
+    def bad_bias(a, ws):
+        return a * ws[0] + ws[1], lambda dy: (dy * ws[0], [dy * a, 2.0 * dy])
+
+    rng = np.random.default_rng(2)
+    rep = grad_check(bad_bias, [rng.standard_normal(3), [rng.standard_normal(3), ones]],
+                     tol=1e-5, name="bad_bias")
+    assert str(rep).startswith("[FAIL] bad_bias: max rel err 5.000e-01")
+    assert str(rep).endswith(", worst at 1.1")
+    rep = grad_check(ops.silu, [ones], tol=1e-5, name="silu")
+    assert str(rep).startswith("[PASS] silu:") and str(rep).endswith(")")
 
 
 def test_walk_back_replays_last_first_and_names_each_gradient():

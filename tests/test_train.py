@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import stat
+import threading
 import warnings
 import zipfile
 
@@ -322,6 +324,27 @@ def test_checkpoint_save_failure_keeps_previous(tmp_path, monkeypatch):
     for k, v in old.items():
         assert np.array_equal(tensors[k], v)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
+
+
+def test_checkpoint_save_leaves_other_temporary_files_alone(tmp_path):
+    """Each writer makes its own temporary file: another's .tmp beside path,
+    or a crashed writer's leftover under this writer's first name, survives a
+    save unchanged, and the checkpoint gets a plain open's permission bits."""
+    path = tmp_path / "last.ckpt"
+    other = tmp_path / "last.ckpt.tmp"
+    other.write_bytes(b"another writer's bytes")
+    leftover = tmp_path / f"last.ckpt.{os.getpid()}.{threading.get_ident()}.0.tmp"
+    leftover.write_bytes(b"a crashed writer's bytes")
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    train.save_checkpoint(path, {"w": np.arange(4.0)}, {"iteration": 1})
+    assert other.read_bytes() == b"another writer's bytes"
+    assert leftover.read_bytes() == b"a crashed writer's bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["last.ckpt", other.name, leftover.name, "plain"])
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    tensors, manifest = train.load_checkpoint(path)
+    assert manifest == {"iteration": 1} and np.array_equal(tensors["w"], np.arange(4.0))
 
 
 def _zip_with(path, **entries):
