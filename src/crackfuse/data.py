@@ -374,7 +374,7 @@ class ManifestError(ValueError):
 
 
 _MANIFEST_FIELDS = {
-    "ids": fields.items(fields.TEXT, "a non-empty list of id strings", least=1),
+    "ids": fields.items(fields.NAME, "a non-empty list of plain file names", least=1),
     "split": fields.Rule(lambda v: isinstance(v, dict) and all(s in ("train", "val") for s in v.values()),
                          'an object mapping ids to "train" or "val"'),
     "variant": fields.TEXT,
@@ -418,12 +418,16 @@ def save_dataset(root, samples, seed, variant="PRGB_plus_PIRprime", ir_factor="2
 
 
 def load_sample(root, sample_id) -> SamplePair:
-    return SamplePair(
-        rgb=load_image(os.path.join(root, "rgb", f"{sample_id}.ppm")),
-        ir=load_image(os.path.join(root, "ir", f"{sample_id}.ppm")),
-        mask=load_mask(os.path.join(root, "mask", f"{sample_id}.pgm")),
-        id=sample_id,
-    )
+    """The frames and mask of one id; ImageParseError naming both files if
+    the mask is not the size of the RGB frame, whose pixels it labels."""
+    rgb_path = os.path.join(root, "rgb", f"{sample_id}.ppm")
+    mask_path = os.path.join(root, "mask", f"{sample_id}.pgm")
+    rgb, mask = load_image(rgb_path), load_mask(mask_path)
+    if mask.shape != rgb.shape[1:]:
+        raise ImageParseError(f"mask {mask_path} is {mask.shape[1]}x{mask.shape[0]}, "
+                              f"its RGB frame {rgb_path} is {rgb.shape[2]}x{rgb.shape[1]}")
+    return SamplePair(rgb=rgb, ir=load_image(os.path.join(root, "ir", f"{sample_id}.ppm")),
+                      mask=mask, id=sample_id)
 
 
 def materialize(samples, variant, sr_model=None) -> dict:

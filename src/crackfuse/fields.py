@@ -76,6 +76,11 @@ def _factor(v) -> bool:
         return False
 
 
+def _file_name(v) -> bool:
+    # a dataset id names files in the dataset and in the CLI's output directories
+    return isinstance(v, str) and v not in ("", ".", "..") and not any(c in v for c in "/\\\0")
+
+
 def integer(least) -> Rule:
     return Rule(lambda v: type(v) is int and v >= least, f"an integer >= {least}")
 
@@ -106,6 +111,7 @@ def one_of(*choices) -> Rule:
 TEXT = Rule(lambda v: isinstance(v, str), "a string")
 PATH = Rule(lambda v: isinstance(v, str) and v != "" and "\0" not in v,
             "a non-empty path string without NUL bytes")
+NAME = Rule(_file_name, "a file name: not empty, . or .., and without /, \\ or NUL")
 OBJECT = Rule(lambda v: isinstance(v, dict), "a JSON object")
 FACTOR = Rule(_factor, 'a rational >= 1 like "2" or "10/3"')
 NULL = Rule(lambda v: v is None, "null")

@@ -41,7 +41,7 @@ def cross_merge(ys, height, width):
     return out
 
 
-def ss2d(x, params, parallel=False):
+def ss2d(x, params):
     """Cross-scan, selective scan of the four directions as one stacked
     batch, cross-merge. x: [B, H, W, C]. Returns (y [B, H, W, C], vjp).
 
@@ -53,7 +53,7 @@ def ss2d(x, params, parallel=False):
     if len(params) != len(DIRECTIONS):
         raise ValueError(f"need {len(DIRECTIONS)} parameter sets, got {len(params)}")
     h, w = x.shape[1:3]
-    ys, vjp_scan = ssm._selective_scan(cross_scan(x), params, parallel)
+    ys, vjp_scan = ssm._selective_scan(cross_scan(x), params, parallel=False)
     y = cross_merge(ys, h, w)
 
     def vjp(dy):

@@ -254,7 +254,7 @@ def _transpose(*axes):
     return (), lambda x: (x.transpose(axes), lambda d: (d.transpose(back),))
 
 
-def vss_block(x, w: BlockWeights, parallel=False):
+def vss_block(x, w: BlockWeights):
     """Residual gated block: normalized input feeds a gate branch (linear +
     silu) and a main branch (linear, depthwise conv, silu, four-direction
     scan, norm); branches multiply, project, and add back to the input.
@@ -265,7 +265,7 @@ def vss_block(x, w: BlockWeights, parallel=False):
     gate = _chain(chains, "gate", [_op(linear, w, "gate_w", "gate_b"), ((), silu)], n1)
     main = [_op(linear, w, "main_w", "main_b"), _transpose(0, 3, 1, 2),
             _op(depthwise_conv2d, w, "conv_kernel"), _transpose(0, 2, 3, 1), ((), silu),
-            (("scans",), lambda t: scan2d.ss2d(t, w.scans, parallel=parallel)),
+            (("scans",), lambda t: scan2d.ss2d(t, w.scans)),
             _op(layer_norm, w, "ln2_gamma", "ln2_beta")]
     n2 = _chain(chains, "main", main, n1)
     y = x + _chain(chains, "out", [_op(linear, w, "out_w", "out_b")], n2 * gate)
@@ -301,7 +301,7 @@ def downsample(x, w: DownsampleWeights):
     return y, vjp
 
 
-def _encode(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False, vjps=None):
+def _encode(image, enc: EncoderWeights, cfg: ModelConfig, vjps=None):
     """The encoder's layer walk over [B, C, H, W] images: embed, then for
     each stage i the downsample into it (downs.{i-1}) and its blocks
     (stages.{i}.{j}), each step named by its weights' place in the tree.
@@ -312,14 +312,14 @@ def _encode(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False, vjps=N
     entries += [((f"downs.{i}",), lambda x, w=w: downsample(x, w)) for i, w in enumerate(enc.downs)]
     feats, t = [], image
     for i, (entry, blocks) in enumerate(zip(entries, enc.stages)):
-        steps = [entry] + [((f"stages.{i}.{j}",), lambda x, w=w: vss_block(x, w, parallel=parallel))
+        steps = [entry] + [((f"stages.{i}.{j}",), lambda x, w=w: vss_block(x, w))
                            for j, w in enumerate(blocks)]
         t = _chain(vjps, i, steps, t)
         feats.append(t)
     return feats
 
 
-def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False):
+def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig):
     """Embed [B, C, H, W] images, then run each stage's blocks, downsampling
     between stages.
 
@@ -327,7 +327,7 @@ def encoder_forward(image, enc: EncoderWeights, cfg: ModelConfig, parallel=False
     a vjp mapping per-stage upstream grads to (dimage, flat weight gradients).
     """
     chains = {}
-    feats = _encode(image, enc, cfg, parallel, chains)
+    feats = _encode(image, enc, cfg, chains)
     n = len(feats)  # the vjp keeps the count, not the grids
 
     def vjp(dfeats):
@@ -502,7 +502,7 @@ def _join(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def model_forward(image, model: SegModel, parallel=False):
+def model_forward(image, model: SegModel, *, parallel=False):
     """Full network: [B, C_in, H, W] images -> [B, num_classes, H, W] logits.
 
     The one entry point to the Stage-2 layers for training: it refuses any
@@ -512,12 +512,15 @@ def model_forward(image, model: SegModel, parallel=False):
     in the batch's dtype, grads the flat dict adamw_step takes, in the weights'
     leaf order, each gradient in its master leaf's dtype. A large batch runs
     as two shards (_shards, _each) whose logits and dimage are concatenated
-    and whose weight gradients are summed, shard 0 + shard 1.
+    and whose weight gradients are summed, shard 0 + shard 1. The scan runs
+    the sequential recurrence; parallel=True is refused.
     """
+    if parallel:
+        raise ValueError("the model runs the sequential scan; Blelloch is ssm.selective_scan_par")
     img = _images(image, model.cfg)
-    work = tree_astype(model, img.dtype)
+    work = SegModel(model.cfg, tree_astype(model.weights, img.dtype))
     shards = _shards(img)
-    outs = _each([partial(_model_forward, img[s], work, parallel) for s in shards])
+    outs = _each([partial(_model_forward, img[s], work) for s in shards])
     logits, vjps = _join([y for y, _ in outs]), [vjp for _, vjp in outs]
 
     def vjp(dlogits):
@@ -530,9 +533,9 @@ def model_forward(image, model: SegModel, parallel=False):
     return logits, vjp
 
 
-def _model_forward(img, model: SegModel, parallel):
+def _model_forward(img, model: SegModel):
     """model_forward of one shard, a [B, C, H, W] batch, in its dtype."""
-    feats, vjp_enc = encoder_forward(img, model.weights.encoder, model.cfg, parallel=parallel)
+    feats, vjp_enc = encoder_forward(img, model.weights.encoder, model.cfg)
     logits, vjp_dec = uper_decode(feats, model.weights.decoder, *img.shape[2:])
 
     def vjp(dlogits):
@@ -547,7 +550,7 @@ def predict(image, model: SegModel):
     """model_forward's logits, bit for bit, for inference: the encoder and
     decoder walks keep no step's vjp past the step that made it."""
     img = _images(image, model.cfg)
-    work = tree_astype(model, img.dtype)
+    work = SegModel(model.cfg, tree_astype(model.weights, img.dtype))
     return _join(_each([partial(_predict, img[s], work) for s in _shards(img)]))
 
 

@@ -25,11 +25,14 @@ section 3.3.2; chunks with a carried state as in Mamba-2). The forward
 carries h across chunk boundaries and keeps only each chunk's entry state;
 the backward walks the chunks in reverse, recomputes the discretization and
 the states of a chunk from its entry state, and carries the adjoint back
-across the boundary. Inside a chunk the recurrence runs either step by step,
-which the model uses, or as a work-efficient (Blelloch-style) parallel scan
-over the associative combine (a2, b2) o (a1, b1) = (a1*a2, a2*b1 + b2).
-Both give the same result; the backward pass is itself a reversed scan of
-the same form.
+across the boundary. Inside a chunk the model's scan runs the recurrence
+step by step (linear_recurrence_seq). The work-efficient (Blelloch-style)
+parallel scan over the associative combine
+(a2, b2) o (a1, b1) = (a1*a2, a2*b1 + b2), linear_recurrence_par, is the
+pair the checks compare it with: selective_scan_par runs it, and so does the
+model's scan when it is put in linear_recurrence_seq's place on this module,
+which the scan looks up at call time. Both give the same result to rounding;
+the backward pass is itself a reversed scan of the same form.
 """
 from __future__ import annotations
 

@@ -6,6 +6,8 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from crackfuse import ssm  # noqa: E402  (after the path above)
+
 
 def _traced(fn, make_input):
     """fn(make_input())'s output, then the tracemalloc bytes it keeps alive
@@ -42,3 +44,31 @@ def peak_bytes():
         return out, peak, held
 
     return measure
+
+
+class Recurrence:
+    """One case of the recurrence fixture, entered as `with recurrence:`.
+    Inside the block the model's scan runs the case's recurrence: the
+    sequential one it always runs (seq), or the Blelloch scan put under that
+    one's name, ssm.linear_recurrence_seq (par). The scan looks the name up at
+    call time, so a sharded batch's worker thread runs the swap too, and a
+    vjp runs its forward's recurrence even after the block."""
+
+    def __init__(self, name):
+        self.name = name
+        self._patch = pytest.MonkeyPatch()
+
+    def __enter__(self):
+        if self.name == "par":
+            self._patch.setattr(ssm, "linear_recurrence_seq", ssm.linear_recurrence_par)
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.undo()
+
+
+@pytest.fixture
+def recurrence(request):
+    """A Recurrence: the case a test parametrizes indirectly, "seq" or
+    "par", or else par, the Blelloch scan that the model's is checked against."""
+    return Recurrence(getattr(request, "param", "par"))

@@ -232,6 +232,20 @@ def test_manifest_roundtrip(tmp_path):
     np.testing.assert_array_equal(s.mask, samples[0].mask)
 
 
+def test_load_sample_refuses_a_mask_not_the_size_of_its_frame(tmp_path):
+    # a target is the mask as read, so a mask of another size would score
+    # pixels it does not label
+    samples = small_dataset(n=2)
+    data.save_dataset(tmp_path, samples, seed=7)
+    sid = samples[0].id
+    mask_path = tmp_path / "mask" / f"{sid}.pgm"
+    data.save_mask(mask_path, np.zeros((56, 56), dtype=np.int64))
+    with pytest.raises(data.ImageParseError) as err:
+        data.load_sample(tmp_path, sid)
+    rgb_path = tmp_path / "rgb" / f"{sid}.ppm"
+    assert f"mask {mask_path} is 56x56, its RGB frame {rgb_path} is 48x48" in str(err.value)
+
+
 def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
@@ -242,6 +256,7 @@ def _without(doc, key):
     (lambda d: {**d, "seed": "7"}, "'seed'"),
     (lambda d: {**d, "ids": "a"}, "'ids'"),
     (lambda d: {**d, "ids": []}, "'ids'"),
+    (lambda d: {**d, "ids": ["../esc"], "split": {"../esc": "val"}}, "'ids'"),
     (lambda d: {**d, "rgb_dims": [48, "48"]}, "'rgb_dims'"),
     (lambda d: {**d, "ir_factor": "1/0"}, "'ir_factor'"),
     (lambda d: {**d, "split": {**d["split"], d["ids"][0]: "test"}}, "'split'"),

@@ -1,4 +1,3 @@
-import functools
 import tracemalloc
 
 import numpy as np
@@ -149,8 +148,9 @@ def _rel(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
-def _assert_matches_oracle(x, ps, parallel, tol=1e-12):
-    y, vjp = scan2d.ss2d(x, ps, parallel=parallel)
+def _assert_matches_oracle(x, ps, recurrence, tol=1e-12):
+    with recurrence:
+        y, vjp = scan2d.ss2d(x, ps)
     dy = np.random.default_rng(41).standard_normal(y.shape)
     dx, dps = vjp(dy)
     y_o, dx_o, dps_o = _per_direction_oracle(x, ps, dy)
@@ -161,19 +161,20 @@ def _assert_matches_oracle(x, ps, parallel, tol=1e-12):
         assert _rel(got[name], want[name]) <= tol, name
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_ss2d_batched_matches_per_direction_scans(parallel):
+@pytest.mark.parametrize("recurrence", ["seq", "par"], indirect=True)
+def test_ss2d_batched_matches_per_direction_scans(recurrence):
     ps = [ssm.init_ssm_params(3, 4, np.random.default_rng(50 + i)) for i in range(4)]
     x = np.random.default_rng(51).standard_normal((2, 5, 7, 3))
-    _assert_matches_oracle(x, ps, parallel)
-    _assert_matches_oracle(x, [ps[0]] * 4, parallel)
+    _assert_matches_oracle(x, ps, recurrence)
+    _assert_matches_oracle(x, [ps[0]] * 4, recurrence)
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_ss2d_runs_one_recurrence_each_way(parallel, monkeypatch):
+@pytest.mark.parametrize("recurrence", ["seq", "par"], indirect=True)
+def test_ss2d_runs_one_recurrence_each_way(recurrence, monkeypatch):
     # the recurrences are looked up on the module at call time, so a wrapper
-    # installed there (as a tracer does) sees every call: one per chunk
-    # forward, and per chunk a recompute and an adjoint backward
+    # installed there (as a tracer does, or the recurrence fixture's swap)
+    # sees every call: one per chunk forward, and per chunk a recompute and
+    # an adjoint backward
     calls = {"linear_recurrence_seq": 0, "linear_recurrence_par": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(ssm, name), **kwargs):
@@ -184,8 +185,9 @@ def test_ss2d_runs_one_recurrence_each_way(parallel, monkeypatch):
     x = np.random.default_rng(71).standard_normal((2, 3, 5, 2))
     monkeypatch.setattr(ops, "_BLOCK_BYTES", 4 * 8 * (4 * 2 * 2 * 2))  # 4 steps: 15 = 4+4+4+3
     n_chunks = 4
-    used = "linear_recurrence_par" if parallel else "linear_recurrence_seq"
-    y, vjp = scan2d.ss2d(x, ps, parallel=parallel)
+    used = f"linear_recurrence_{recurrence.name}"
+    with recurrence:
+        y, vjp = scan2d.ss2d(x, ps)
     assert calls == {name: n_chunks if name == used else 0 for name in calls}
     vjp(np.ones_like(y))
     assert calls == {name: 3 * n_chunks if name == used else 0 for name in calls}
@@ -197,18 +199,20 @@ def _step_bytes(x, ps):
     return x.itemsize * 4 * x.shape[0] * ps[0].state_dim * x.shape[-1]
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
-def test_ss2d_multi_chunk_matches_one_chunk(parallel, monkeypatch):
+@pytest.mark.parametrize("recurrence", ["seq", "par"], indirect=True)
+def test_ss2d_multi_chunk_matches_one_chunk(recurrence, monkeypatch):
     ps = _series_params([1])
     x = np.random.default_rng(72).standard_normal((2, 5, 7, 3)) * 0.5
     dy = np.random.default_rng(73).standard_normal(x.shape)
-    y1, vjp1 = scan2d.ss2d(x, ps, parallel=parallel)           # L = 35 fits one chunk
+    with recurrence:
+        y1, vjp1 = scan2d.ss2d(x, ps)                          # L = 35 fits one chunk
     dx1, dps1 = vjp1(dy)
     want = tree_flatten(dps1)
     for steps in (1, 3, 34):                                   # 35 chunks; 11 + a 2-step one; 34 + 1
         monkeypatch.setattr(ops, "_BLOCK_BYTES", steps * _step_bytes(x, ps))
         assert len(ssm._chunks(35, _step_bytes(x, ps))) == -(-35 // steps)
-        y, vjp = scan2d.ss2d(x, ps, parallel=parallel)
+        with recurrence:
+            y, vjp = scan2d.ss2d(x, ps)
         dx, dps = vjp(dy)
         assert _rel(y, y1) <= 1e-12 and _rel(dx, dx1) <= 1e-12, steps
         got = tree_flatten(dps)
@@ -219,8 +223,8 @@ def test_ss2d_multi_chunk_matches_one_chunk(parallel, monkeypatch):
     monkeypatch.setattr(ops, "_BLOCK_BYTES", 2 * _step_bytes(x[:1], ps))
     xs = x[:1, :2, :3]
     assert len(ssm._chunks(6, _step_bytes(xs, ps))) == 3
-    rep = grad_check(functools.partial(scan2d.ss2d, parallel=parallel), [xs, ps], tol=1e-4,
-                     name="ss2d three chunks")
+    with recurrence:
+        rep = grad_check(scan2d.ss2d, [xs, ps], tol=1e-4, name="ss2d three chunks")
     assert rep.passed, str(rep)
 
 
@@ -310,9 +314,10 @@ def test_ss2d_series_branch(small_channels, mask):
         assert abs(dps[0].a_log[c, 1] - fd) <= 1e-4 * abs(fd)
 
 
-def test_ss2d_seq_par_agree():
+def test_ss2d_seq_par_agree(recurrence):
     ps = [ssm.init_ssm_params(2, 3, np.random.default_rng(30 + i)) for i in range(4)]
     x = np.random.default_rng(9).standard_normal((1, 5, 6, 2))
-    y1, _ = scan2d.ss2d(x, ps, parallel=True)
-    y2, _ = scan2d.ss2d(x, ps, parallel=False)
+    with recurrence:
+        y1, _ = scan2d.ss2d(x, ps)
+    y2, _ = scan2d.ss2d(x, ps)
     np.testing.assert_allclose(y1, y2, rtol=1e-10, atol=1e-13)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 import threading
 import time
@@ -7,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from crackfuse import checks, ops, segnet, train
+from crackfuse import checks, fields, ops, scan2d, segnet, train
 from crackfuse.gradcheck import grad_check
 from crackfuse.trees import tree_astype, tree_flatten, tree_unflatten
 
@@ -229,13 +230,32 @@ def test_model_forward_rejects_unbatched_image():
         segnet.model_forward(np.zeros((2, 24, 24)), model)
 
 
-def test_model_forward_blelloch_matches_sequential():
+def test_model_forward_blelloch_matches_sequential(recurrence):
     # grids 24, 12, 6, 3: not powers of two, so the parallel scan pads
     model = segnet.init_model(segnet.ModelConfig(), rng(30))
     img = rng(31).standard_normal((1, 6, 72, 72)) * 0.5
-    seq, _ = segnet.model_forward(img, model, parallel=False)
-    par, _ = segnet.model_forward(img, model, parallel=True)
+    seq, _ = segnet.model_forward(img, model)
+    with recurrence:
+        par, _ = segnet.model_forward(img, model)
     assert np.max(np.abs(par - seq)) <= 1e-9
+
+
+def test_model_forward_refuses_the_parallel_scan():
+    model = segnet.init_model(TINY, rng(27))
+    with pytest.raises(ValueError, match="ssm.selective_scan_par"):
+        segnet.model_forward(np.zeros((1, 2, 24, 24)), model, parallel=True)
+
+
+def test_only_model_forward_takes_parallel():
+    # the model runs one recurrence; model_forward keeps the keyword for
+    # perfbench's infer120 check, refusing True
+    takers = [f"{mod.__name__}.{name}" for mod in (scan2d, segnet)
+              for name, fn in vars(mod).items()
+              if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+              and "parallel" in inspect.signature(fn).parameters]
+    assert takers == ["crackfuse.segnet.model_forward"]
+    param = inspect.signature(segnet.model_forward).parameters["parallel"]
+    assert param.kind is param.KEYWORD_ONLY and param.default is False
 
 
 _DEPTHS = [TOY, *(dataclasses.replace(_reduced(d), in_channels=6)
@@ -379,6 +399,18 @@ def test_tree_astype_casts_leaves_or_returns_the_tree():
     assert tree_astype(cast, np.float32) is cast
 
 
+def test_float32_entries_cast_the_weights_not_the_config(monkeypatch):
+    # the entries cast the master weights only; the frozen config is reused,
+    # not rebuilt and validated again on every call
+    model = segnet.init_model(TINY, rng(38))
+    checked = []
+    monkeypatch.setattr(fields, "check_config", checked.append)
+    image = rng(39).uniform(size=(1, 2, 24, 24)).astype(np.float32)
+    logits, _ = segnet.model_forward(image, model)
+    assert logits.dtype == segnet.predict(image, model).dtype == np.float32
+    assert checked == []
+
+
 # --------------------------------------------------------------------------
 # Sharded batches: above segnet._SHARD_MIN_PIXELS a batch runs as two shards,
 # the second on a worker thread. TINY at 5 x 120^2 holds 43,200 pixels in its
@@ -447,7 +479,7 @@ def test_shard_matches_whole_batch_within_tolerance():
     # splitting the batch changes the rounding of batch-wide sums only
     model, img, target = _sharded_case()
     logits, dimage, grads = _step(model, img, target)
-    whole, vjp = segnet._model_forward(img, model, False)
+    whole, vjp = segnet._model_forward(img, model)
     whole_dimage, whole_tree = vjp(train.cross_entropy(whole, target)[1](1.0)[0])
     assert np.max(np.abs(logits - whole)) <= 1e-12
     assert np.max(np.abs(dimage - whole_dimage)) <= 1e-12 * np.max(np.abs(whole_dimage))
@@ -464,7 +496,7 @@ def test_shard_below_gate_runs_whole_batch_on_caller(monkeypatch):
     threads = threading.active_count()
     logits, vjp = segnet.model_forward(img, model)
     dimage, grads = vjp(dlogits)
-    whole, whole_vjp = segnet._model_forward(img, model, False)
+    whole, whole_vjp = segnet._model_forward(img, model)
     whole_dimage, whole_tree = whole_vjp(dlogits)
     assert np.array_equal(logits, whole) and np.array_equal(dimage, whole_dimage)
     whole_grads = tree_flatten(whole_tree)
@@ -553,15 +585,16 @@ def test_suite_op_computes_in_float32(check):
     assert set(grads.values()) == {np.dtype(np.float32)}, grads
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
-def test_model_computes_in_float32(parallel):
+@pytest.mark.parametrize("recurrence", ["seq", "par"], indirect=True)
+def test_model_computes_in_float32(recurrence):
     # float32 images run the layers in float32 behind the float64 masters
     model = segnet.init_model(TOY, rng(50))
     master = tree_flatten(model.weights)
     kept = {k: v.copy() for k, v in master.items()}
     image = rng(51).uniform(size=(2, 6, 48, 48))
     dlogits = rng(52).standard_normal((2, 2, 48, 48))
-    logits, vjp = segnet.model_forward(image.astype(np.float32), model, parallel)
+    with recurrence:
+        logits, vjp = segnet.model_forward(image.astype(np.float32), model)
     dimage, grads = vjp(dlogits.astype(np.float32))
     assert logits.dtype == dimage.dtype == np.float32
     leaves = tree_flatten(grads)
@@ -570,13 +603,15 @@ def test_model_computes_in_float32(parallel):
         assert leaf is master[name] and np.array_equal(leaf, kept[name]), name
     # the layers behind the cast keep every weight gradient in float32
     work = tree_astype(model, np.float32)
-    _, vjp32 = segnet._model_forward(image.astype(np.float32), work, parallel)
+    with recurrence:
+        _, vjp32 = segnet._model_forward(image.astype(np.float32), work)
     assert set(_dtypes(vjp32(dlogits.astype(np.float32))[1]).values()) == {np.dtype(np.float32)}
     predicted = segnet.predict(image.astype(np.float32), model)  # the sequential scan
     assert predicted.dtype == np.float32
     # float32 against the float64 pass: logits relative to the largest
     # float64 logit, each gradient leaf relative to its own largest entry
-    want, want_vjp = segnet.model_forward(image, model, parallel)
+    with recurrence:
+        want, want_vjp = segnet.model_forward(image, model)
     for got in (logits, predicted):
         assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
     for name, g in tree_flatten(want_vjp(dlogits)[1]).items():
